@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from . import jsonio
 from .balanced import MultidegreeBundle, balance_report, balanced_stability_bridge
 from .errors import NodalPolError
 from .goodness import GoodnessStatus, GoodnessVerdict, conjecture_probe, decide
 from .pathsys import aj_family, build_path_system
-from .polarization import canonical, delta_structure, lambda_vector, stability_polytope
+from .polarization import canonical, lambda_vector, scaled_lambda, stability_polytope
 from .search import CampaignConfig, run_campaign
 from .stability import StabilityVerdict, oc_stability
 
@@ -77,14 +78,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "goodness": _goodness_obj(good),
     }
     if curve.gamma <= SUBCURVE_TABLE_LIMIT:
+        scaled, q = scaled_lambda(curve, w)
         table = []
-        for sub in curve.proper_connected_subcurves():
+        for stat in curve.connected_subcurve_stats():
+            delta = Fraction(
+                sum(scaled[k] for k in stat.members) - q * stat.internal, q
+            )
             table.append(
                 {
-                    "members": list(sub.member_ids),
-                    "boundary": sub.boundary_size,
-                    "genus": sub.arithmetic_genus,
-                    "delta": jsonio.format_rational(delta_structure(sub, w)),
+                    "members": [curve.vertex_ids[k] for k in stat.members],
+                    "boundary": stat.boundary,
+                    "genus": stat.genus,
+                    "delta": jsonio.format_rational(delta),
                 }
             )
         report["subcurves"] = table
@@ -352,7 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     except NodalPolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # Unreadable input (missing, a directory, not UTF-8) is bad input,
+        # never a negative verdict.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

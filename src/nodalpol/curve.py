@@ -19,8 +19,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidCurveError
 
-# Subcurves are bitmasks in a Python int; enumeration stays exact and fast
-# well below this bound, which is far beyond desk scale anyway.
+# Subcurves are bitmasks in a Python int.  Enumerating the connected
+# subcurves costs time proportional to their number: polynomial on chains
+# and cycles up to this bound, still exponential on dense curves and stars.
 MAX_COMPONENTS = 62
 
 
@@ -253,26 +254,79 @@ class CurveGraph:
     def connected_subcurve_stats(self) -> tuple[SubcurveStat, ...]:
         """Stats for every proper connected subcurve, ascending by bitmask.
 
+        Connected vertex sets are grown, not filtered out of all 2^gamma
+        masks.  Each set is reached exactly once, from its lowest vertex:
+        a branch adds one frontier vertex and bans the frontier vertices
+        its earlier siblings added.  Node counts and genus sums are
+        carried forward as vertices join, so the cost is proportional to
+        the number of connected subcurves: polynomial on chains and cycles,
+        still exponential on dense curves and stars.
+
         Computed once per curve and reused by the stability and goodness
         checks; empty when the curve has a single component.
         """
         if self._connected_stats is None:
+            gamma = self.gamma
+            adj = self._adjacency_masks
+            deg = self._vertex_degrees
+            genera = self.genera
+            # Edge multiplicities as layered masks: layer j of vertex u holds
+            # the neighbours joined to u by more than j nodes, so the nodes
+            # between u and a set S number sum(|layer & S|) over the layers.
+            mult = [[0] * gamma for _ in range(gamma)]
+            for ia, ib in self._edge_index_pairs:
+                mult[ia][ib] += 1
+                mult[ib][ia] += 1
+            layers = [
+                tuple(
+                    sum(1 << w for w in range(gamma) if row[w] > j)
+                    for j in range(max(row))
+                )
+                for row in mult
+            ]
+            # (mask, internal nodes, degree sum, genus sum) per connected set
+            grown = []
+            for v in range(gamma):
+                low = 1 << v
+                # (mask, neighbours of the mask, banned, internal, degrees,
+                # genera); the banned set always covers the mask.
+                stack = [(low, adj[v], (low << 1) - 1, 0, deg[v], genera[v])]
+                while stack:
+                    mask, reach, banned, internal, dsum, gsum = stack.pop()
+                    grown.append((mask, internal, dsum, gsum))
+                    frontier = reach & ~banned
+                    while frontier:
+                        bit = frontier & -frontier
+                        frontier ^= bit
+                        banned |= bit
+                        u = bit.bit_length() - 1
+                        joined = internal
+                        for layer in layers[u]:
+                            joined += (layer & mask).bit_count()
+                        stack.append(
+                            (
+                                mask | bit,
+                                reach | adj[u],
+                                banned,
+                                joined,
+                                dsum + deg[u],
+                                gsum + genera[u],
+                            )
+                        )
+            grown.sort()
+            grown.pop()  # the full mask, the largest of all
             stats = []
-            full = self.full_mask
-            for mask in range(1, full):
-                if not self.mask_is_connected(mask):
-                    continue
-                members = tuple(
-                    k for k in range(self.gamma) if mask & (1 << k)
+            for mask, internal, dsum, gsum in grown:
+                members = tuple(k for k in range(gamma) if mask >> k & 1)
+                stats.append(
+                    SubcurveStat(
+                        mask,
+                        members,
+                        internal,
+                        dsum - 2 * internal,
+                        gsum + internal - len(members) + 1,
+                    )
                 )
-                internal, boundary = self.subset_counts(mask)
-                genus = (
-                    sum(self.genera[k] for k in members)
-                    + internal
-                    - len(members)
-                    + 1
-                )
-                stats.append(SubcurveStat(mask, members, internal, boundary, genus))
             self._connected_stats = tuple(stats)
         return self._connected_stats
 

@@ -22,8 +22,13 @@ from .sheafdata import SheafDatum
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 
+def _is_int(x: object) -> bool:
+    """A JSON integer; ``bool`` subclasses ``int`` but true/false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_rational(text: object) -> Fraction:
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise SchemaError(f"expected a rational string, got {text!r}")
@@ -72,7 +77,7 @@ def curve_from_obj(obj: Any) -> CurveGraph:
             raise SchemaError(
                 f"vertices[{pos}] must be an object with \"id\" and \"genus\""
             )
-        if not isinstance(item["id"], int) or not isinstance(item["genus"], int):
+        if not _is_int(item["id"]) or not _is_int(item["genus"]):
             raise SchemaError(f"vertices[{pos}]: id and genus must be integers")
         vertices.append((item["id"], item["genus"]))
     edges = []
@@ -85,10 +90,10 @@ def curve_from_obj(obj: Any) -> CurveGraph:
         if (
             not isinstance(ends, list)
             or len(ends) != 2
-            or not all(isinstance(x, int) for x in ends)
+            or not all(_is_int(x) for x in ends)
         ):
             raise SchemaError(f"edges[{pos}].ends must be a pair of vertex ids")
-        if not isinstance(item["id"], int):
+        if not _is_int(item["id"]):
             raise SchemaError(f"edges[{pos}].id must be an integer")
         edges.append((item["id"], (ends[0], ends[1])))
     return CurveGraph(vertices, edges)
@@ -136,7 +141,7 @@ def sheaf_from_obj(curve: CurveGraph, obj: Any) -> SheafDatum:
         if key not in obj:
             raise SchemaError(f"sheaf document is missing \"{key}\"")
         val = obj[key]
-        if not isinstance(val, list) or not all(isinstance(x, int) for x in val):
+        if not isinstance(val, list) or not all(_is_int(x) for x in val):
             raise SchemaError(f"\"{key}\" must be a list of integers")
         if len(val) != size:
             raise SchemaError(f"\"{key}\" must have {size} entries, got {len(val)}")
@@ -189,6 +194,8 @@ def round_trip(text: str) -> str:
         for key in ("ranks", "degrees", "stalk_free"):
             if key not in obj or not isinstance(obj[key], list):
                 raise SchemaError(f"sheaf document is missing \"{key}\"")
+            if not all(_is_int(x) for x in obj[key]):
+                raise SchemaError(f"\"{key}\" must be a list of integers")
         return canonical_dumps(
             {k: obj[k] for k in ("ranks", "degrees", "stalk_free")}
         )

@@ -230,9 +230,15 @@ def sample_polarizations(
         yield from enumerate_weight_grid(curve.gamma, cfg.weight_denominator_bound)
         return
     grid = list(enumerate_weight_grid(curve.gamma, cfg.weight_denominator_bound))
-    rng = SplitMix64(cfg.seed ^ int(curve_hash(curve), 16))
-    for _ in range(cfg.sample_count):
-        yield grid[rng.randrange(len(grid))]
+    yield from _draw_samples(grid, cfg, curve_hash(curve))
+
+
+def _draw_samples(
+    grid: list[Polarization], cfg: CampaignConfig, chash: str
+) -> list[Polarization]:
+    """The seeded random-mode draws for the curve with hash ``chash``."""
+    rng = SplitMix64(cfg.seed ^ int(chash, 16))
+    return [grid[rng.randrange(len(grid))] for _ in range(cfg.sample_count)]
 
 
 # -- identity suite -------------------------------------------------------
@@ -364,19 +370,20 @@ def run_campaign(
     try:
         _emit(sink, digest, _CSV_HEADER)
         index = 0
-        # In exhaustive mode the polarization grid only depends on the
-        # component count, so materialize it once per count.
+        # The polarization grid only depends on the component count, so
+        # materialize it once per count, in both modes.
         grids: dict[int, list[Polarization]] = {}
         for curve in enumerate_curves(cfg):
             report.curves_enumerated += 1
             chash = curve_hash(curve)
             genera_text = ";".join(str(g) for g in curve.genera)
-            if cfg.mode == "exhaustive":
-                if curve.gamma not in grids:
-                    grids[curve.gamma] = list(sample_polarizations(curve, cfg))
-                polarizations = grids[curve.gamma]
-            else:
-                polarizations = sample_polarizations(curve, cfg)
+            if curve.gamma not in grids:
+                grids[curve.gamma] = list(
+                    enumerate_weight_grid(curve.gamma, cfg.weight_denominator_bound)
+                )
+            polarizations = grids[curve.gamma]
+            if cfg.mode == "random":
+                polarizations = _draw_samples(polarizations, cfg, chash)
             for w in polarizations:
                 probe = conjecture_probe(curve, w, cfg.max_rank)
                 rng = SplitMix64(cfg.seed ^ (0xA5A5A5A5 + 0x9E3779B9 * index))

@@ -92,6 +92,51 @@ class TestAnalyze:
         assert code == 2
 
 
+class TestBadInputExitCode:
+    """Unreadable or ill-typed input exits 2, never 1 (a negative verdict)."""
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_curve(self, capsys, tmp_path, kind):
+        path = tmp_path
+        if kind == "binary":
+            path = tmp_path / "curve.json"
+            path.write_bytes(bytes(range(128, 256)))
+        code = main(
+            ["stability", "--curve", str(path), "--polarization", fixture("w_half.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "curve, weights",
+        [
+            ({"vertices": [{"id": True, "genus": False}], "edges": []}, ["1"]),
+            (
+                {
+                    "vertices": [{"id": 1, "genus": 2}, {"id": 2, "genus": 2}],
+                    "edges": [{"id": 1, "ends": [True, 2]}],
+                },
+                ["1/2", "1/2"],
+            ),
+            ({"vertices": [{"id": 1, "genus": 2}], "edges": []}, [True]),
+        ],
+    )
+    def test_booleans(self, capsys, tmp_path, curve, weights):
+        curve_path = tmp_path / "curve.json"
+        curve_path.write_text(json.dumps(curve))
+        pol_path = tmp_path / "w.json"
+        pol_path.write_text(json.dumps({"weights": weights}))
+        code = main(
+            ["analyze", "--curve", str(curve_path), "--polarization", str(pol_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 class TestOtherCommands:
     def test_canonical(self, capsys):
         code, obj = run(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from conftest import curves
 from nodalpol import CurveGraph
+from nodalpol.curve import MAX_COMPONENTS, SubcurveStat
 from nodalpol.errors import InvalidCurveError
 
 
@@ -154,6 +155,19 @@ class TestEnumeration:
         got = {s.member_ids for s in c.proper_connected_subcurves()}
         assert got == expected
 
+    def test_stats_match_mask_filter(self):
+        rng = random.Random(2008)
+        for _ in range(2000):
+            c = _random_multigraph(rng, rng.randint(1, 10))
+            assert c.connected_subcurve_stats() == _mask_filter_stats(c), c
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["chain", "cycle"])
+    def test_counts_at_component_cap(self, closed):
+        n = MAX_COMPONENTS
+        edges = [(i, i + 1) for i in range(1, n)] + ([(n, 1)] if closed else [])
+        stats = CurveGraph.from_genera([0] * n, edges).connected_subcurve_stats()
+        assert len(stats) == (n * (n - 1) if closed else n * (n + 1) // 2 - 1)
+
     @given(curves())
     @settings(max_examples=40)
     def test_compact_type_iff_tree(self, c):
@@ -171,6 +185,34 @@ class TestEnumeration:
             assert cls.semistable
         if cls.stable:
             assert cls.quasistable  # no exceptional components at all
+
+
+def _mask_filter_stats(c: CurveGraph) -> tuple[SubcurveStat, ...]:
+    """Brute-force oracle: test all 2^gamma masks for connectivity."""
+    stats = []
+    for mask in range(1, c.full_mask):
+        if not c.mask_is_connected(mask):
+            continue
+        members = tuple(k for k in range(c.gamma) if mask & (1 << k))
+        internal, boundary = c.subset_counts(mask)
+        genus = sum(c.genera[k] for k in members) + internal - len(members) + 1
+        stats.append(SubcurveStat(mask, members, internal, boundary, genus))
+    return tuple(stats)
+
+
+def _random_multigraph(rng: random.Random, gamma: int) -> CurveGraph:
+    """Shuffled labels, a random spanning tree, extra and parallel edges."""
+    labels = rng.sample(range(1, 3 * gamma + 1), gamma)
+    edges = [(labels[rng.randrange(k)], labels[k]) for k in range(1, gamma)]
+    if gamma >= 2:
+        extra = rng.randint(0, 2 * gamma)
+        edges += [tuple(rng.sample(labels, 2)) for _ in range(extra)]
+        edges += [rng.choice(edges) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(edges)
+    return CurveGraph(
+        [(v, rng.randint(0, 2)) for v in labels],
+        [(j + 1, ends) for j, ends in enumerate(edges)],
+    )
 
 
 class TestDotExport:

@@ -104,6 +104,46 @@ class TestCurveSchema:
             round_trip("{not json")
 
 
+class TestBooleansRejected:
+    """JSON true/false load as Python bools, which subclass int."""
+
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [
+            ([{"id": True, "genus": 0}], []),
+            ([{"id": 1, "genus": False}], []),
+            (
+                [{"id": 1, "genus": 0}, {"id": 2, "genus": 0}],
+                [{"id": True, "ends": [1, 2]}],
+            ),
+            (
+                [{"id": 1, "genus": 0}, {"id": 2, "genus": 0}],
+                [{"id": 1, "ends": [True, 2]}],
+            ),
+        ],
+    )
+    def test_curve(self, vertices, edges):
+        with pytest.raises(SchemaError, match="integer|vertex ids"):
+            curve_from_obj({"vertices": vertices, "edges": edges})
+
+    @pytest.mark.parametrize("key", ["ranks", "degrees", "stalk_free"])
+    def test_sheaf(self, key):
+        c = CurveGraph.from_genera([2, 2], [(1, 2)])
+        obj = {"ranks": [1, 0], "degrees": [0, 0], "stalk_free": [0]}
+        obj[key] = [False] * len(obj[key])
+        with pytest.raises(SchemaError, match=key):
+            sheaf_from_obj(c, obj)
+        with pytest.raises(SchemaError, match=key):
+            round_trip(json.dumps(obj))
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rational(self, value):
+        with pytest.raises(SchemaError, match="rational"):
+            parse_rational(value)
+        with pytest.raises(SchemaError, match="rational"):
+            polarization_from_obj({"weights": [value]})
+
+
 class TestPolarizationSchema:
     def test_parse(self):
         w = polarization_from_obj({"weights": ["1/6", "5/6"]})

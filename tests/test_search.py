@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from nodalpol import (
     CampaignConfig,
     CurveGraph,
@@ -118,6 +120,18 @@ class TestSamplePolarizations:
         assert a == b
         assert len(a) == 25
 
+    def test_random_mode_golden_draws(self):
+        c = CurveGraph.from_genera([0, 1, 2], [(1, 2), (2, 3), (1, 3)])
+        config = cfg(mode="random", sample_count=5, seed=99, weight_denominator_bound=9)
+        got = [tuple(map(str, p.weights)) for p in sample_polarizations(c, config)]
+        assert got == [
+            ("1/8", "3/4", "1/8"),
+            ("3/8", "1/2", "1/8"),
+            ("2/7", "2/7", "3/7"),
+            ("2/5", "1/5", "2/5"),
+            ("3/5", "1/5", "1/5"),
+        ]
+
     def test_random_mode_outputs_valid(self):
         c = CurveGraph.from_genera([0, 0, 0], [(1, 2), (2, 3), (1, 3)])
         config = cfg(mode="random", sample_count=50, seed=5, weight_denominator_bound=8)
@@ -168,6 +182,34 @@ class TestRunCampaign:
         report = run_campaign(config)
         assert report.consistent
         assert report.instances_checked == report.curves_enumerated * 3
+
+    @pytest.mark.parametrize(
+        "bounds, instances, sha",
+        [
+            (
+                dict(max_vertices=3, max_edges=4, weight_denominator_bound=6, max_rank=9),
+                856,
+                "49c006fa5f0559241a733986fb3827edf7c7b1a352de4876ebd0646cdc7509ea",
+            ),
+            (
+                dict(
+                    max_vertices=4,
+                    max_edges=4,
+                    weight_denominator_bound=8,
+                    max_rank=8,
+                    mode="random",
+                    sample_count=3,
+                ),
+                378,
+                "a6b7e97da7c6b6ef541b399dc8204ceae921b17e7f53911bcd42bb235c5a00b4",
+            ),
+        ],
+        ids=["exhaustive", "random"],
+    )
+    def test_golden_csv(self, bounds, instances, sha):
+        report = run_campaign(cfg(max_genus=1, seed=2026, **bounds))
+        assert report.instances_checked == instances
+        assert report.csv_sha256 == sha
 
     def test_curve_hash_stable(self):
         c = CurveGraph.from_genera([2, 2], [(1, 2)])
