@@ -17,7 +17,13 @@ from .balanced import MultidegreeBundle, balance_report, balanced_stability_brid
 from .errors import NodalPolError
 from .goodness import GoodnessStatus, GoodnessVerdict, conjecture_probe, decide
 from .pathsys import aj_family, build_path_system
-from .polarization import canonical, lambda_vector, scaled_lambda, stability_polytope
+from .polarization import (
+    canonical,
+    delta_structure_scaled,
+    lambda_vector,
+    scaled_lambda,
+    stability_polytope,
+)
 from .search import CampaignConfig, run_campaign
 from .stability import StabilityVerdict, oc_stability
 
@@ -60,8 +66,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     curve = jsonio.load_curve(args.curve)
     w = jsonio.load_polarization(args.polarization)
     lam = lambda_vector(curve, w)
-    verdict = oc_stability(curve, w)
-    good = decide(curve, w, args.max_rank, stability=verdict)
+    scaled = scaled_lambda(curve, w)
+    verdict = oc_stability(curve, w, scaled)
+    good = decide(curve, w, args.max_rank, stability=verdict, scaled=scaled)
     cls = curve.classify()
     report: dict = {
         "arithmetic_genus": curve.arithmetic_genus,
@@ -78,11 +85,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "goodness": _goodness_obj(good),
     }
     if curve.gamma <= SUBCURVE_TABLE_LIMIT:
-        scaled, q = scaled_lambda(curve, w)
         table = []
         for stat in curve.connected_subcurve_stats():
             delta = Fraction(
-                sum(scaled[k] for k in stat.members) - q * stat.internal, q
+                delta_structure_scaled(*scaled, stat.members, stat.internal),
+                scaled.q,
             )
             table.append(
                 {

@@ -24,6 +24,13 @@ from .errors import InvalidCurveError
 # and cycles up to this bound, still exponential on dense curves and stars.
 MAX_COMPONENTS = 62
 
+# The bounded goodness scan materializes every rank vector in
+# {0..max_rank}^gamma as an int64 table with gamma columns.  A scan whose
+# table would hold more entries than this (64 MiB of int64) is refused with
+# a NodalPolError instead of exhausting memory; the default rank bound 2*gamma
+# crosses it from gamma = 6 on.
+MAX_RANK_TABLE_ENTRIES = 1 << 23
+
 
 class SubcurveStat(NamedTuple):
     """Precomputed data for one proper connected subcurve."""
@@ -71,7 +78,6 @@ class CurveGraph:
         "_vertex_degrees",
         "_connected_stats",
         "_path_systems",
-        "_lambda_cache",
         "_key",
     )
 
@@ -143,7 +149,6 @@ class CurveGraph:
 
         self._connected_stats: tuple[SubcurveStat, ...] | None = None
         self._path_systems: dict[int, object] = {}
-        self._lambda_cache: dict[tuple, tuple] = {}
         self._key = (self.vertex_ids, self.genera, self.edge_ids, self.edge_ends)
 
     @classmethod

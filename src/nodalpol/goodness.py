@@ -32,13 +32,14 @@ from itertools import product
 
 import numpy as np
 
-from .curve import CurveGraph
-from .pathsys import aj_family, build_path_system, delta_decomposed
-from .polarization import Polarization, scaled_lambda
+from .curve import MAX_RANK_TABLE_ENTRIES, CurveGraph
+from .errors import NodalPolError
+from .pathsys import aj_defects_scaled, build_path_system, delta_decomposed_scaled
+from .polarization import Polarization, ScaledLambda, delta_structure_scaled, scaled_lambda
 from .sheafdata import (
     SheafDatum,
-    delta_general,
-    delta_residual,
+    delta_general_scaled,
+    delta_residual_scaled,
     is_locally_free,
     validate_datum,
 )
@@ -72,21 +73,23 @@ def default_rank_bound(curve: CurveGraph) -> int:
     return 2 * curve.gamma
 
 
-def sufficient_check(curve: CurveGraph, w: Polarization) -> int | None:
+def sufficient_check(
+    curve: CurveGraph, w: Polarization, scaled: ScaledLambda | None = None
+) -> int | None:
     """First base vertex whose defect windows all hold, if any.
 
     Bases are tried in ascending id order; satisfaction may depend on the
-    base, so all of them are probed before giving up.
+    base, so all of them are probed before giving up.  ``scaled`` is the
+    pair's :func:`scaled_lambda`, when the caller has it already.
     """
-    lam, q = scaled_lambda(curve, w)
+    lam, q = scaled_lambda(curve, w) if scaled is None else scaled
     for base in curve.vertex_ids:
         ps = build_path_system(curve, base)
         ok = True
         for geo in ps.aj_geometry:
             if geo.mask == 0:
                 continue
-            # scaled defect: q * delta(O_{A_j})
-            s = sum(lam[k] for k in geo.members) - q * geo.internal
+            s = delta_structure_scaled(lam, q, geo.members, geo.internal)
             if not q * (geo.boundary - 1) < 2 * s < q * (geo.boundary + 1):
                 ok = False
                 break
@@ -96,16 +99,53 @@ def sufficient_check(curve: CurveGraph, w: Polarization) -> int | None:
 
 
 @lru_cache(maxsize=16)
-def _rank_vector_table(gamma: int, max_rank: int) -> np.ndarray:
-    """Non-zero rank vectors, ascending by maximum entry then lexicographic."""
+def _rank_vector_table(gamma: int, max_rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-zero rank vectors, ascending by maximum entry then lexicographic,
+    and the mask of the rows whose ranks are all at least one.
+
+    Callers keep the table within ``MAX_RANK_TABLE_ENTRIES`` entries.
+    """
     grid = np.indices((max_rank + 1,) * gamma).reshape(gamma, -1).T
     grid = grid[1:]  # drop the zero vector
     order = np.argsort(grid.max(axis=1), kind="stable")
-    return np.ascontiguousarray(grid[order], dtype=np.int64)
+    table = np.ascontiguousarray(grid[order], dtype=np.int64)
+    return table, (table >= 1).all(axis=1)
+
+
+# The scan arrays of the latest curve only: a campaign scans all of a
+# curve's polarizations before it moves on, and older arrays would only
+# hold memory.
+_curve_scan: tuple | None = None
+
+
+def _scan_arrays(curve: CurveGraph, max_rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(table, stalks, not_free)`` for a curve and rank bound.
+
+    ``stalks`` holds the minimizing stalk sum ``sum_j min(r_a, r_b)`` of
+    every table row and ``not_free`` is 1 on the rows that are not locally
+    free, 0 on the others; neither depends on the polarization.
+    """
+    global _curve_scan
+    cached = _curve_scan
+    if cached is not None and cached[0] is curve and cached[1] == max_rank:
+        return cached[2]
+    table, positive = _rank_vector_table(curve.gamma, max_rank)
+    stalks = np.zeros(len(table), dtype=np.int64)
+    free = positive.copy()
+    for ia, ib in curve.edge_index_pairs():
+        ca, cb = table[:, ia], table[:, ib]
+        stalks += np.minimum(ca, cb)
+        free &= ca == cb
+    arrays = (table, stalks, (~free).astype(np.int8))
+    _curve_scan = (curve, max_rank, arrays)
+    return arrays
 
 
 def _scan_rank_vectors(
-    curve: CurveGraph, w: Polarization, max_rank: int
+    curve: CurveGraph,
+    w: Polarization,
+    max_rank: int,
+    scaled: ScaledLambda | None = None,
 ) -> tuple[SheafDatum | None, Fraction | None]:
     """Exhaustive witness scan over rank vectors in {0..max_rank}^gamma.
 
@@ -116,10 +156,17 @@ def _scan_rank_vectors(
 
     Big boxes are evaluated with vectorized int64 arithmetic; magnitudes
     are bounded first, with a fall-back to plain integers when they could
-    overflow.  Both paths compute the identical exact predicate.
+    overflow.  Both paths compute the identical exact predicate.  A box
+    of more than ``MAX_RANK_TABLE_ENTRIES`` entries is refused.
     """
-    lam, q = scaled_lambda(curve, w)
+    lam, q = scaled_lambda(curve, w) if scaled is None else scaled
     size = (max_rank + 1) ** curve.gamma
+    if (size - 1) * curve.gamma > MAX_RANK_TABLE_ENTRIES:
+        raise NodalPolError(
+            f"the rank scan over {{0..{max_rank}}}^{curve.gamma} would hold "
+            f"{(size - 1) * curve.gamma} table entries, more than the limit of "
+            f"{MAX_RANK_TABLE_ENTRIES}; pass a smaller rank bound"
+        )
     bound = max_rank * (sum(abs(x) for x in lam) + q * curve.delta)
     if size >= 512 and bound < 2**62:
         return _scan_vectorized(curve, lam, q, max_rank)
@@ -158,16 +205,13 @@ def _scan_plain(
 def _scan_vectorized(
     curve: CurveGraph, lam: tuple[int, ...], q: int, max_rank: int
 ) -> tuple[SheafDatum | None, Fraction | None]:
-    table = _rank_vector_table(curve.gamma, max_rank)
+    table, stalks, not_free = _scan_arrays(curve, max_rank)
     defects = table @ np.asarray(lam, dtype=np.int64)
-    locally_free = (table >= 1).all(axis=1)
-    for ia, ib in curve.edge_index_pairs():
-        ca, cb = table[:, ia], table[:, ib]
-        defects -= q * np.minimum(ca, cb)
-        locally_free &= ca == cb
-    hits = (defects < 0) | ((defects == 0) & ~locally_free)
-    if hits.any():
-        first = int(np.argmax(hits))
+    defects -= q * stalks
+    # A witness has a negative defect, or a zero one while not locally free.
+    hits = defects < not_free
+    first = int(np.argmax(hits))
+    if hits[first]:
         r = tuple(int(x) for x in table[first])
         return (
             SheafDatum.with_minimizing_stalks(curve, r),
@@ -190,7 +234,10 @@ def witness_search(
 
 
 def _witness_from_failing_subcurve(
-    curve: CurveGraph, w: Polarization, verdict: StabilityVerdict
+    curve: CurveGraph,
+    w: Polarization,
+    verdict: StabilityVerdict,
+    scaled: ScaledLambda,
 ) -> tuple[SheafDatum, Fraction]:
     """Constructive witness behind the necessity direction.
 
@@ -205,24 +252,33 @@ def _witness_from_failing_subcurve(
     else:
         chosen = b.complement()
     datum = SheafDatum.subcurve_sheaf(chosen)
-    value = delta_general(curve, w, datum)
+    lam, q = scaled
+    value = delta_general_scaled(curve, lam, q, datum)
     if value > 0 or (value == 0 and is_locally_free(curve, datum)):
         raise AssertionError("constructive witness failed its defect bound")
-    return datum, value
+    return datum, Fraction(value, q)
 
 
 def _check_witness(
-    curve: CurveGraph, w: Polarization, datum: SheafDatum, value: Fraction
+    curve: CurveGraph,
+    w: Polarization,
+    datum: SheafDatum,
+    value: Fraction,
+    scaled: ScaledLambda,
 ) -> None:
     """Re-derive a witness's defect through all three formulas."""
     validate_datum(curve, datum)
-    if delta_general(curve, w, datum) != value:
+    lam, q = scaled
+    # Each kernel returns x = scale * delta; x / scale == num / den is
+    # checked by cross-multiplying.
+    num, den = value.numerator, value.denominator
+    if delta_general_scaled(curve, lam, q, datum) * den != num * q:
         raise AssertionError("witness defect disagrees with the lambda formula")
-    if delta_residual(curve, w, datum) != value:
+    if delta_residual_scaled(curve, lam, q, datum) * den != num * 2 * q:
         raise AssertionError("witness defect disagrees with the residual formula")
     ps = build_path_system(curve, curve.vertex_ids[0])
-    fam = aj_family(curve, w, ps)
-    if delta_decomposed(curve, w, ps, fam, datum) != value:
+    aj = aj_defects_scaled(ps, lam, q)
+    if delta_decomposed_scaled(ps, q, aj, datum) * den != num * 2 * q:
         raise AssertionError("witness defect disagrees with the path formula")
 
 
@@ -231,33 +287,36 @@ def decide(
     w: Polarization,
     max_rank: int | None = None,
     stability: StabilityVerdict | None = None,
+    scaled: ScaledLambda | None = None,
 ) -> GoodnessVerdict:
     """Full goodness decision procedure.
 
     Order: instability yields a constructive ``NOT_GOOD`` witness; then a
     window certificate yields ``GOOD_CERTIFIED``; then the bounded scan
     either finds a witness or returns ``EVIDENCE_GOOD``.  A precomputed
-    stability verdict for the same pair may be passed to avoid recomputing
-    it.
+    stability verdict and :func:`scaled_lambda` for the same pair may be
+    passed to avoid recomputing them.
     """
     if max_rank is None:
         max_rank = default_rank_bound(curve)
+    if scaled is None:
+        scaled = scaled_lambda(curve, w)
     if stability is None:
-        stability = oc_stability(curve, w)
+        stability = oc_stability(curve, w, scaled)
     if not stability.stable:
-        datum, value = _witness_from_failing_subcurve(curve, w, stability)
-        _check_witness(curve, w, datum, value)
+        datum, value = _witness_from_failing_subcurve(curve, w, stability, scaled)
+        _check_witness(curve, w, datum, value, scaled)
         return GoodnessVerdict(
             status=GoodnessStatus.NOT_GOOD, witness=datum, witness_delta=value
         )
-    base = sufficient_check(curve, w)
+    base = sufficient_check(curve, w, scaled)
     if base is not None:
         return GoodnessVerdict(
             status=GoodnessStatus.GOOD_CERTIFIED, certificate_base=base
         )
-    datum, min_delta = _scan_rank_vectors(curve, w, max_rank)
+    datum, min_delta = _scan_rank_vectors(curve, w, max_rank, scaled)
     if datum is not None:
-        _check_witness(curve, w, datum, min_delta)  # type: ignore[arg-type]
+        _check_witness(curve, w, datum, min_delta, scaled)  # type: ignore[arg-type]
         return GoodnessVerdict(
             status=GoodnessStatus.NOT_GOOD,
             witness=datum,
@@ -290,8 +349,9 @@ def conjecture_probe(
     would be an internal consistency failure, since instability always
     produces a constructive witness.
     """
-    stability = oc_stability(curve, w)
-    verdict = decide(curve, w, max_rank, stability=stability)
+    scaled = scaled_lambda(curve, w)
+    stability = oc_stability(curve, w, scaled)
+    verdict = decide(curve, w, max_rank, stability=stability, scaled=scaled)
     not_good = verdict.status is GoodnessStatus.NOT_GOOD
     if stability.stable and not_good:
         return ProbeReport(

@@ -3,7 +3,10 @@
 Rationals travel as strings ``"p/q"`` with positive denominator and
 ``gcd(p, q) = 1`` after normalization; integers drop the denominator.
 Serialization is canonical (sorted keys, fixed separators), so parsing and
-re-serializing any accepted document is idempotent.
+re-serializing any accepted document is idempotent.  A document the loaders
+cannot turn into a curve, polarization or sheaf datum raises
+``SchemaError``, also when it is well formed but its values are not (a loop,
+a disconnected graph, weights off the simplex).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from .curve import CurveGraph
-from .errors import SchemaError
+from .errors import InvalidCurveError, InvalidPolarizationError, SchemaError
 from .polarization import Polarization, StabilityPolytope
 from .sheafdata import SheafDatum
 
@@ -96,7 +99,10 @@ def curve_from_obj(obj: Any) -> CurveGraph:
         if not _is_int(item["id"]):
             raise SchemaError(f"edges[{pos}].id must be an integer")
         edges.append((item["id"], (ends[0], ends[1])))
-    return CurveGraph(vertices, edges)
+    try:
+        return CurveGraph(vertices, edges)
+    except InvalidCurveError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def curve_to_obj(curve: CurveGraph) -> dict:
@@ -120,7 +126,11 @@ def polarization_from_obj(obj: Any) -> Polarization:
         raise SchemaError("polarization document must be an object with \"weights\"")
     if not isinstance(obj["weights"], list) or not obj["weights"]:
         raise SchemaError("\"weights\" must be a non-empty list")
-    return Polarization(tuple(parse_rational(w) for w in obj["weights"]))
+    weights = tuple(parse_rational(w) for w in obj["weights"])
+    try:
+        return Polarization(weights)
+    except InvalidPolarizationError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def polarization_to_obj(w: Polarization) -> dict:

@@ -34,11 +34,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .curve import CurveGraph, Subcurve
 from .errors import InvalidCurveError, PathIdentityError
-from .polarization import Polarization, delta_structure, scaled_lambda
+from .polarization import Polarization, delta_structure_scaled, scaled_lambda
 from .sheafdata import SheafDatum, validate_datum
 
 
@@ -59,6 +59,11 @@ class PathSystem:
     ``parent`` maps every non-base vertex id to ``(parent id, tree edge
     id)``; ``orientation`` maps each edge id to its ``(predecessor,
     successor)`` vertex ids.  Instances are immutable and cached per curve.
+
+    The kernels read the same data by position: ``edge_plan[j]`` is
+    ``(predecessor index, successor index, position in aj_geometry)`` of
+    edge j, the position being -1 off the tree, and ``path_edges[v]``
+    lists the edge indices on the path from vertex index v to the base.
     """
 
     curve: CurveGraph
@@ -69,6 +74,8 @@ class PathSystem:
     depth: dict[int, int]
     orientation: dict[int, tuple[int, int]]
     aj_geometry: tuple[AjGeometry, ...]
+    edge_plan: tuple[tuple[int, int, int], ...]
+    path_edges: tuple[tuple[int, ...], ...]
 
     def path_edge_ids(self, vertex_id: int) -> tuple[int, ...]:
         """Tree edges on the minimal path from a vertex to the base."""
@@ -88,6 +95,8 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
     if base in cache:
         return cache[base]  # type: ignore[return-value]
     base_idx = curve.index_of(base)
+    gamma = curve.gamma
+    full = curve.full_mask
 
     # One marked edge per parallel class: the lowest edge id, i.e. the
     # first edge met in id order.
@@ -97,11 +106,11 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
     marked = set(class_rep.values())
 
     # Breadth-first depths on the simple graph (vertices, marking).
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(curve.gamma)]
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(gamma)]
     for (ia, ib), j in sorted(class_rep.items()):
         neighbors[ia].append((ib, j))
         neighbors[ib].append((ia, j))
-    depth_idx = [-1] * curve.gamma
+    depth_idx = [-1] * gamma
     depth_idx[base_idx] = 0
     queue = deque([base_idx])
     while queue:
@@ -115,7 +124,7 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
     # path minimal and suffix-closed.
     parent_idx: dict[int, tuple[int, int]] = {}
     tree_edge_indices: set[int] = set()
-    for v in range(curve.gamma):
+    for v in range(gamma):
         if v == base_idx:
             continue
         best: tuple[int, int] | None = None
@@ -139,18 +148,24 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
             orientation_idx.append((ia, ib) if ia < ib else (ib, ia))
 
     # Far-side subtree of each tree edge, accumulated bottom-up.
-    subtree = [1 << v for v in range(curve.gamma)]
-    for v in sorted(range(curve.gamma), key=lambda v: -depth_idx[v]):
+    subtree = [1 << v for v in range(gamma)]
+    for v in sorted(range(gamma), key=lambda v: -depth_idx[v]):
         if v != base_idx:
             subtree[parent_idx[v][0]] |= subtree[v]
     tree_edge_child = {j: v for v, (_, j) in parent_idx.items()}
 
     geometry = []
+    geometry_pos = {}
     for j in sorted(marked):
         if j in tree_edge_indices:
             mask = subtree[tree_edge_child[j]]
-            members = tuple(k for k in range(curve.gamma) if mask & (1 << k))
+            members = tuple(k for k in range(gamma) if mask & (1 << k))
             internal, boundary = curve.subset_counts(mask)
+            if not curve.mask_is_connected(mask):
+                raise AssertionError("a far-side subcurve is disconnected")
+            if mask != full and not curve.mask_is_connected(full ^ mask):
+                raise AssertionError("a far-side complement is disconnected")
+            geometry_pos[j] = len(geometry)
         else:
             mask = 0
             members = ()
@@ -158,6 +173,14 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
         geometry.append(
             AjGeometry(curve.edge_ids[j], mask, members, internal, boundary)
         )
+
+    path_edges = []
+    for v in range(gamma):
+        path = []
+        while v != base_idx:
+            v, j = parent_idx[v]
+            path.append(j)
+        path_edges.append(tuple(path))
 
     ids = curve.vertex_ids
     eids = curve.edge_ids
@@ -169,12 +192,17 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
         parent={
             ids[v]: (ids[p], eids[j]) for v, (p, j) in parent_idx.items()
         },
-        depth={ids[v]: depth_idx[v] for v in range(curve.gamma)},
+        depth={ids[v]: depth_idx[v] for v in range(gamma)},
         orientation={
             eids[j]: (ids[pred], ids[succ])
             for j, (pred, succ) in enumerate(orientation_idx)
         },
         aj_geometry=tuple(geometry),
+        edge_plan=tuple(
+            (pred, succ, geometry_pos.get(j, -1))
+            for j, (pred, succ) in enumerate(orientation_idx)
+        ),
+        path_edges=tuple(path_edges),
     )
     _assert_suffix_closed(ps)
     cache[base] = ps
@@ -213,32 +241,43 @@ class AjFamily:
         return tuple(e for e in self.entries if e.subcurve is not None)
 
 
+def aj_defects_scaled(
+    ps: PathSystem, lam: Sequence[int], q: int
+) -> tuple[int, ...]:
+    """``q * delta(O_{A_j})`` per entry of ``ps.aj_geometry`` (0 where A_j
+    is empty), from ``(lam, q)`` of :func:`scaled_lambda`."""
+    return tuple(
+        delta_structure_scaled(lam, q, geo.members, geo.internal) if geo.mask else 0
+        for geo in ps.aj_geometry
+    )
+
+
 def aj_family(
     curve: CurveGraph, w: Polarization, ps: PathSystem
 ) -> AjFamily:
     """Evaluate the defect of each far-side subcurve under a polarization.
 
     Boundary sizes are counted in the full multigraph.  Connectivity of
-    every non-empty subcurve and of its complement is re-checked here.
+    every non-empty subcurve and of its complement is checked when the
+    path system is built.
     """
     if ps.curve is not curve and ps.curve != curve:
         raise InvalidCurveError("path system belongs to a different curve")
+    lam, q = scaled_lambda(curve, w)
     entries = []
-    for geo in ps.aj_geometry:
+    for geo, scaled in zip(ps.aj_geometry, aj_defects_scaled(ps, lam, q)):
         if geo.mask == 0:
             entries.append(AjEntry(geo.edge_id, None, None, None))
             continue
-        sub = Subcurve(curve, geo.mask)
-        if not curve.mask_is_connected(geo.mask):
-            raise AssertionError("a far-side subcurve is disconnected")
-        if geo.mask != curve.full_mask and not curve.mask_is_connected(
-            curve.full_mask ^ geo.mask
-        ):
-            raise AssertionError("a far-side complement is disconnected")
         entries.append(
-            AjEntry(geo.edge_id, sub, geo.boundary, delta_structure(sub, w))
+            AjEntry(
+                geo.edge_id,
+                Subcurve(curve, geo.mask),
+                geo.boundary,
+                Fraction(scaled, q),
+            )
         )
-    return AjFamily(path_system=ps, entries=entries)
+    return AjFamily(path_system=ps, entries=tuple(entries))
 
 
 def star2_conditions(fam: AjFamily) -> list[tuple[int, bool]]:
@@ -255,17 +294,27 @@ def star2_conditions(fam: AjFamily) -> list[tuple[int, bool]]:
     return out
 
 
-def _branch_ranks(
-    curve: CurveGraph, ps: PathSystem, e: SheafDatum, edge_index: int
-) -> tuple[int, int]:
-    """(a_j, b_j): branch ranks on the predecessor/successor side."""
-    eid = curve.edge_ids[edge_index]
-    pred, succ = ps.orientation[eid]
-    s = e.stalk_free[edge_index]
-    return (
-        e.ranks[curve.index_of(pred)] - s,
-        e.ranks[curve.index_of(succ)] - s,
-    )
+def delta_decomposed_scaled(
+    ps: PathSystem, q: int, aj: Sequence[int], e: SheafDatum
+) -> int:
+    """The path-formula kernel: ``2q * delta(E)``.
+
+    ``aj`` holds ``q * delta(O_{A_j})`` per entry of ``ps.aj_geometry``,
+    as :func:`aj_defects_scaled` computes it.
+    """
+    ranks = e.ranks
+    geometry = ps.aj_geometry
+    total = 0
+    for (pred, succ, pos), s in zip(ps.edge_plan, e.stalk_free):
+        a = ranks[pred] - s
+        b = ranks[succ] - s
+        if pos < 0:
+            total += q * (a + b)
+        else:
+            d = geometry[pos].boundary
+            dq = aj[pos]
+            total += a * (q * (1 - d) + 2 * dq) + b * (q * (1 + d) - 2 * dq)
+    return total
 
 
 def delta_decomposed(
@@ -282,22 +331,51 @@ def delta_decomposed(
     exactly with the other two defect formulas.
     """
     validate_datum(curve, e)
-    _, q = scaled_lambda(curve, w)
-    by_edge = {entry.edge_id: entry for entry in fam.entries}
-    tree = ps.tree_edges
-    total = 0  # scaled by 2q
-    for j, eid in enumerate(curve.edge_ids):
-        a, b = _branch_ranks(curve, ps, e, j)
-        if eid in tree:
-            entry = by_edge[eid]
-            d = entry.boundary
-            dq = entry.delta * q  # type: ignore[operator]
-            assert dq.denominator == 1
-            total += a * (q * (1 - d) + 2 * dq.numerator)
-            total += b * (q * (1 + d) - 2 * dq.numerator)
+    q = scaled_lambda(curve, w).q
+    by_edge = {entry.edge_id: entry.delta for entry in fam.entries}
+    aj = []
+    for geo in ps.aj_geometry:
+        if geo.mask == 0:
+            aj.append(0)
+            continue
+        dq = by_edge[geo.edge_id] * q  # type: ignore[operator]
+        assert dq.denominator == 1
+        aj.append(dq.numerator)
+    return Fraction(delta_decomposed_scaled(ps, q, aj, e), 2 * q)
+
+
+def check_path_identities(curve: CurveGraph, ps: PathSystem, e: SheafDatum) -> None:
+    """The kernel of :func:`verify_path_identities`, for a datum that has
+    been validated already."""
+    # b_j - a_j = (r_succ - s_j) - (r_pred - s_j) = r_succ - r_pred
+    ranks = e.ranks
+    plan = ps.edge_plan
+    class_diff: dict[tuple[int, int], tuple[int, int]] = {}
+    for j, pair in enumerate(curve.edge_index_pairs()):
+        pred, succ, _ = plan[j]
+        diff = ranks[succ] - ranks[pred]
+        if pair in class_diff:
+            j0, d0 = class_diff[pair]
+            if diff != d0:
+                raise PathIdentityError(
+                    f"parallel nodes {curve.edge_ids[j0]} and "
+                    f"{curve.edge_ids[j]} disagree: {d0} != {diff}"
+                )
         else:
-            total += q * (a + b)
-    return Fraction(total, 2 * q)
+            class_diff[pair] = (j, diff)
+
+    r_base = ranks[curve.index_of(ps.base)]
+    for v, path in enumerate(ps.path_edges):
+        total = 0
+        for j in path:
+            pred, succ, _ = plan[j]
+            total += ranks[succ] - ranks[pred]
+        expected = r_base - ranks[v]
+        if total != expected:
+            raise PathIdentityError(
+                f"telescoping failed along the path of vertex "
+                f"{curve.vertex_ids[v]}: {total} != {expected}"
+            )
 
 
 def verify_path_identities(
@@ -311,30 +389,4 @@ def verify_path_identities(
     Violations raise with the offending indices.
     """
     validate_datum(curve, e)
-    class_diff: dict[tuple[int, int], tuple[int, int]] = {}
-    for j, pair in enumerate(curve.edge_index_pairs()):
-        a, b = _branch_ranks(curve, ps, e, j)
-        diff = b - a
-        if pair in class_diff:
-            j0, d0 = class_diff[pair]
-            if diff != d0:
-                raise PathIdentityError(
-                    f"parallel nodes {curve.edge_ids[j0]} and "
-                    f"{curve.edge_ids[j]} disagree: {d0} != {diff}"
-                )
-        else:
-            class_diff[pair] = (j, diff)
-
-    r_base = e.ranks[curve.index_of(ps.base)]
-    edge_index = {eid: j for j, eid in enumerate(curve.edge_ids)}
-    for vid in curve.vertex_ids:
-        total = 0
-        for eid in ps.path_edge_ids(vid):
-            a, b = _branch_ranks(curve, ps, e, edge_index[eid])
-            total += b - a
-        expected = r_base - e.ranks[curve.index_of(vid)]
-        if total != expected:
-            raise PathIdentityError(
-                f"telescoping failed along the path of vertex {vid}: "
-                f"{total} != {expected}"
-            )
+    check_path_identities(curve, ps, e)

@@ -8,8 +8,13 @@ for a subcurve B the structure-sheaf defect is
 
     delta_structure(B) = sum(lambda_i for i in B) - N(B),
 
-where N(B) counts the nodes internal to B.  All arithmetic uses
-``fractions.Fraction``; floating point never enters a predicate.
+where N(B) counts the nodes internal to B.  Arithmetic is in integers
+over the polarization's common denominator Q: the kernels here and in
+``sheafdata``/``pathsys`` take ``Q * lambda`` and return defects scaled by
+Q (or 2Q), and ``fractions.Fraction`` appears only at the API edges, where
+the public functions divide by the scale.  Every predicate is a sign or
+equality test, so the scale never changes an answer, and floating point
+never enters one.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .curve import CurveGraph, Subcurve
 from .errors import (
@@ -28,6 +33,13 @@ from .errors import (
 )
 
 LambdaVector = tuple[Fraction, ...]
+
+
+class ScaledLambda(NamedTuple):
+    """The lambda vector as integers over the polarization's denominator."""
+
+    values: tuple[int, ...]  # values[k] == q * lambda_k
+    q: int  # common denominator of the weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,18 +60,21 @@ class Polarization:
         object.__setattr__(self, "_hash", hash(ws))
         if not ws:
             raise InvalidPolarizationError("a polarization needs at least one weight")
-        if sum(ws) != 1:
+        q = lcm(*(w.denominator for w in ws))
+        nums = tuple(w.numerator * (q // w.denominator) for w in ws)
+        # The weights as integers over their common denominator q; every
+        # lambda kernel starts from these.
+        object.__setattr__(self, "_scaled", (nums, q))
+        if sum(nums) != q:
             raise InvalidPolarizationError(
                 f"weights must sum to 1 exactly, got {sum(ws)}"
             )
         if len(ws) == 1:
-            if ws[0] != 1:
-                raise InvalidPolarizationError("a single component must carry weight 1")
             return
-        for k, w in enumerate(ws):
-            if not 0 < w < 1:
+        for k, n in enumerate(nums):
+            if not 0 < n < q:
                 raise InvalidPolarizationError(
-                    f"weight #{k + 1} = {w} is outside the open interval (0, 1)"
+                    f"weight #{k + 1} = {ws[k]} is outside the open interval (0, 1)"
                 )
 
     @classmethod
@@ -75,7 +90,12 @@ class Polarization:
         return len(self.weights)
 
     def common_denominator(self) -> int:
-        return lcm(*(w.denominator for w in self.weights))
+        return self._scaled[1]  # type: ignore[attr-defined]
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """The weights times :meth:`common_denominator`."""
+        return self._scaled[0]  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -123,45 +143,42 @@ def canonical(curve: CurveGraph) -> Polarization:
     )
 
 
-def lambda_vector(curve: CurveGraph, w: Polarization) -> LambdaVector:
-    """lambda_i = 1 - g_i - w_i * chi(O_C); the entries sum to delta.
+def scaled_lambda(curve: CurveGraph, w: Polarization) -> ScaledLambda:
+    """The lambda kernel: ``Q * lambda_k = Q(1 - g_k) - n_k * chi(O_C)``.
 
-    Memoized per (curve, polarization): the whole package evaluates
-    defects through this vector, often many times for the same pair.
+    ``Q`` is the common denominator of the weights and ``n_k = Q * w_k``,
+    so the entries are integers straight from the weight numerators.  The
+    campaign computes this once per (curve, polarization) and passes it
+    down to every kernel.
     """
-    return _lambda_entry(curve, w)[0]
-
-
-def scaled_lambda(curve: CurveGraph, w: Polarization) -> tuple[tuple[int, ...], int]:
-    """The lambda vector as integers over a common denominator q.
-
-    Returns ``(L, q)`` with ``L[i] == q * lambda_i``.  Hot loops compare
-    these integers instead of Fractions; the results are identical because
-    every predicate in the package is a rational inequality.
-    """
-    entry = _lambda_entry(curve, w)
-    return entry[1], entry[2]
-
-
-def _lambda_entry(curve: CurveGraph, w: Polarization) -> tuple:
-    cached = curve._lambda_cache.get(w)
-    if cached is not None:
-        return cached
     if w.gamma != curve.gamma:
         raise InvalidPolarizationError(
             f"polarization has {w.gamma} weights but the curve has "
             f"{curve.gamma} components"
         )
+    q = w.common_denominator()
     chi = curve.euler_characteristic
-    lam = tuple(1 - g - wi * chi for g, wi in zip(curve.genera, w.weights))
-    if sum(lam) != curve.delta:
+    lam = tuple(q * (1 - g) - n * chi for g, n in zip(curve.genera, w.numerators))
+    if sum(lam) != q * curve.delta:
         raise AssertionError("lambda entries failed to sum to the node count")
-    q = lcm(*(x.denominator for x in lam))
-    entry = (lam, tuple(int(x * q) for x in lam), q)
-    if len(curve._lambda_cache) >= 4096:
-        curve._lambda_cache.clear()
-    curve._lambda_cache[w] = entry
-    return entry
+    return ScaledLambda(lam, q)
+
+
+def lambda_vector(curve: CurveGraph, w: Polarization) -> LambdaVector:
+    """lambda_i = 1 - g_i - w_i * chi(O_C); the entries sum to delta."""
+    lam, q = scaled_lambda(curve, w)
+    return tuple(Fraction(x, q) for x in lam)
+
+
+def delta_structure_scaled(
+    lam: Sequence[int], q: int, members: Iterable[int], internal: int
+) -> int:
+    """The structure-defect kernel: ``q * delta_structure(B)``.
+
+    ``members`` are B's vertex indices and ``internal`` its internal node
+    count; ``(lam, q)`` come from :func:`scaled_lambda`.
+    """
+    return sum(lam[k] for k in members) - q * internal
 
 
 def delta_structure(b: Subcurve, w: Polarization) -> Fraction:
@@ -173,9 +190,7 @@ def delta_structure(b: Subcurve, w: Polarization) -> Fraction:
     """
     lam, q = scaled_lambda(b.owner, w)
     internal, _ = b.owner.subset_counts(b.mask)
-    return Fraction(
-        sum(lam[k] for k in b.member_indices) - q * internal, q
-    )
+    return Fraction(delta_structure_scaled(lam, q, b.member_indices, internal), q)
 
 
 @dataclass(frozen=True)

@@ -21,24 +21,32 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .curve import CurveGraph
 from .errors import NodalPolError
 from .goodness import GoodnessStatus, conjecture_probe
 from .jsonio import canonical_dumps, curve_to_obj, format_rational
-from .pathsys import aj_family, build_path_system, delta_decomposed, verify_path_identities
-from .polarization import Polarization, enumerate_weight_grid, lambda_vector
+from .pathsys import (
+    aj_defects_scaled,
+    build_path_system,
+    check_path_identities,
+    delta_decomposed_scaled,
+)
+from .polarization import Polarization, enumerate_weight_grid, scaled_lambda
 from .sheafdata import (
     SheafDatum,
-    delta_general,
-    delta_residual,
-    restrict,
+    delta_general_scaled,
+    delta_residual_scaled,
+    restrict_scaled,
     validate_datum,
 )
 
 _MASK64 = (1 << 64) - 1
+
+T = TypeVar("T")
 
 
 class SplitMix64:
@@ -124,17 +132,48 @@ def _pair_list(gamma: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(gamma) for j in range(i + 1, gamma)]
 
 
-def _permute_multiplicities(
-    m: tuple[int, ...],
-    perm: tuple[int, ...],
-    pairs: list[tuple[int, int]],
-    pair_index: dict[tuple[int, int], int],
-) -> tuple[int, ...]:
-    out = [0] * len(m)
-    for idx, (i, j) in enumerate(pairs):
-        a, b = perm[i], perm[j]
-        out[pair_index[(a, b) if a < b else (b, a)]] = m[idx]
-    return tuple(out)
+def _gather(indices: tuple[int, ...]) -> Callable:
+    """``v -> tuple(v[i] for i in indices)``, as an itemgetter when that
+    returns a tuple (two indices or more)."""
+    if len(indices) >= 2:
+        return itemgetter(*indices)
+    return lambda v: tuple(v[i] for i in indices)
+
+
+def _relabellings(
+    gamma: int, pairs: list[tuple[int, int]]
+) -> list[tuple[Callable, Callable]]:
+    """Per vertex permutation, two gathers computed once per component count.
+
+    The first maps a multiplicity vector (indexed like ``pairs``) to its
+    image under the permutation; the second maps a genus vector to the
+    genus vector the permutation puts on each vertex.  An image is then a
+    tuple gather, with no dictionary lookups.
+    """
+    pair_index = {p: k for k, p in enumerate(pairs)}
+    out = []
+    for perm in permutations(range(gamma)):
+        source = [0] * len(pairs)
+        for idx, (i, j) in enumerate(pairs):
+            a, b = perm[i], perm[j]
+            source[pair_index[(a, b) if a < b else (b, a)]] = idx
+        inverse = tuple(perm.index(k) for k in range(gamma))
+        out.append((_gather(tuple(source)), _gather(inverse)))
+    return out
+
+
+def _stabilizer(m: tuple[int, ...], relabellings) -> list[Callable] | None:
+    """The genus relabellings of the permutations fixing ``m``, or ``None``
+    when some permutation maps ``m`` to a smaller vector, which makes ``m``
+    not canonical."""
+    aut = []
+    for image_of, genera_of in relabellings:
+        image = image_of(m)
+        if image < m:
+            return None
+        if image == m:
+            aut.append(genera_of)
+    return aut
 
 
 def _connected_multiplicities(m: tuple[int, ...], gamma: int, pairs) -> bool:
@@ -166,8 +205,7 @@ def enumerate_curves(cfg: CampaignConfig) -> Iterator[CurveGraph]:
     """
     for gamma in range(1, cfg.max_vertices + 1):
         pairs = _pair_list(gamma)
-        pair_index = {p: k for k, p in enumerate(pairs)}
-        perms = list(permutations(range(gamma))) if gamma <= 5 else None
+        relabellings = _relabellings(gamma, pairs) if gamma <= 5 else None
         min_edges = 0 if gamma == 1 else gamma - 1
         for total in range(min_edges, cfg.max_edges + 1):
             if gamma == 1 and total > 0:
@@ -175,28 +213,15 @@ def enumerate_curves(cfg: CampaignConfig) -> Iterator[CurveGraph]:
             for m in _weak_compositions(total, len(pairs)):
                 if gamma > 1 and not _connected_multiplicities(m, gamma, pairs):
                     continue
-                if perms is not None:
-                    images = [
-                        _permute_multiplicities(m, perm, pairs, pair_index)
-                        for perm in perms
-                    ]
-                    if min(images) != m:
+                aut: list[Callable] = []
+                if relabellings is not None:
+                    aut = _stabilizer(m, relabellings)
+                    if aut is None:
                         continue
-                    aut = [
-                        perm
-                        for perm, image in zip(perms, images)
-                        if image == m
-                    ]
-                else:
-                    aut = None
                 for genera in product(range(cfg.max_genus + 1), repeat=gamma):
-                    if aut is not None and len(aut) > 1:
-                        canon = min(
-                            tuple(genera[perm.index(k)] for k in range(gamma))
-                            for perm in aut
-                        )
-                        if canon != genera:
-                            continue
+                    # canonical when no relabelling gives a smaller vector
+                    if len(aut) > 1 and any(g(genera) < genera for g in aut):
+                        continue
                     edges = []
                     eid = 1
                     for idx, (i, j) in enumerate(pairs):
@@ -233,10 +258,9 @@ def sample_polarizations(
     yield from _draw_samples(grid, cfg, curve_hash(curve))
 
 
-def _draw_samples(
-    grid: list[Polarization], cfg: CampaignConfig, chash: str
-) -> list[Polarization]:
-    """The seeded random-mode draws for the curve with hash ``chash``."""
+def _draw_samples(grid: Sequence[T], cfg: CampaignConfig, chash: str) -> list[T]:
+    """The seeded random-mode draws from a curve's grid, for the curve
+    with hash ``chash``."""
     rng = SplitMix64(cfg.seed ^ int(chash, 16))
     return [grid[rng.randrange(len(grid))] for _ in range(cfg.sample_count)]
 
@@ -264,11 +288,13 @@ def identity_failures(
     Checks, on one seeded random datum: the lambda entries sum to the node
     count; the three defect formulas agree for a random base; restriction
     over a random proper subcurve is additive up to the boundary stalk
-    ranks; and both path bookkeeping identities hold.
+    ranks; and both path bookkeeping identities hold.  The datum is
+    validated once, and every formula runs as an integer kernel on the
+    same scaled lambda vector.
     """
     failures: list[str] = []
-    lam = lambda_vector(curve, w)
-    if sum(lam) != curve.delta:
+    lam, q = scaled_lambda(curve, w)
+    if sum(lam) != q * curve.delta:
         failures.append("lambda sum != node count")
     e = _random_datum(curve, rng, max_rank)
     try:
@@ -277,25 +303,29 @@ def identity_failures(
         return [f"random datum invalid: {exc}"]
     base = curve.vertex_ids[rng.randrange(curve.gamma)]
     ps = build_path_system(curve, base)
-    fam = aj_family(curve, w, ps)
-    d1 = delta_general(curve, w, e)
-    d2 = delta_residual(curve, w, e)
-    d3 = delta_decomposed(curve, w, ps, fam, e)
+    # All three scaled by 2q.
+    d1 = 2 * delta_general_scaled(curve, lam, q, e)
+    d2 = delta_residual_scaled(curve, lam, q, e)
+    d3 = delta_decomposed_scaled(ps, q, aj_defects_scaled(ps, lam, q), e)
     if not d1 == d2 == d3:
-        failures.append(f"defect formulas disagree: {d1}, {d2}, {d3}")
+        failures.append(
+            "defect formulas disagree: "
+            + ", ".join(str(Fraction(d, 2 * q)) for d in (d1, d2, d3))
+        )
     if curve.gamma >= 2:
         mask = 1 + rng.randrange(curve.full_mask - 1)
-        b = curve.subcurve_from_mask(mask)
-        bc = b.complement()
-        boundary_stalks = Fraction(0)
+        boundary_stalks = 0
         for j, (ia, ib) in enumerate(curve.edge_index_pairs()):
-            if bool(mask & (1 << ia)) != bool(mask & (1 << ib)):
+            if (mask >> ia & 1) != (mask >> ib & 1):
                 boundary_stalks += e.stalk_free[j]
-        lhs = restrict(curve, w, e, b) + restrict(curve, w, e, bc)
-        if lhs != d1 + boundary_stalks:
+        # Scaled by q.
+        lhs = restrict_scaled(curve, lam, q, e, mask) + restrict_scaled(
+            curve, lam, q, e, curve.full_mask ^ mask
+        )
+        if 2 * lhs != d1 + 2 * q * boundary_stalks:
             failures.append("restriction additivity failed")
     try:
-        verify_path_identities(curve, ps, e)
+        check_path_identities(curve, ps, e)
     except NodalPolError as exc:
         failures.append(f"path identity failed: {exc}")
     return failures
@@ -371,24 +401,27 @@ def run_campaign(
         _emit(sink, digest, _CSV_HEADER)
         index = 0
         # The polarization grid only depends on the component count, so
-        # materialize it once per count, in both modes.
-        grids: dict[int, list[Polarization]] = {}
+        # materialize it once per count, in both modes, with each
+        # polarization's CSV text.
+        grids: dict[int, list[tuple[Polarization, str]]] = {}
         for curve in enumerate_curves(cfg):
             report.curves_enumerated += 1
             chash = curve_hash(curve)
             genera_text = ";".join(str(g) for g in curve.genera)
             if curve.gamma not in grids:
-                grids[curve.gamma] = list(
-                    enumerate_weight_grid(curve.gamma, cfg.weight_denominator_bound)
-                )
+                grids[curve.gamma] = [
+                    (w, ";".join(format_rational(x) for x in w.weights))
+                    for w in enumerate_weight_grid(
+                        curve.gamma, cfg.weight_denominator_bound
+                    )
+                ]
             polarizations = grids[curve.gamma]
             if cfg.mode == "random":
                 polarizations = _draw_samples(polarizations, cfg, chash)
-            for w in polarizations:
+            for w, weights_text in polarizations:
                 probe = conjecture_probe(curve, w, cfg.max_rank)
                 rng = SplitMix64(cfg.seed ^ (0xA5A5A5A5 + 0x9E3779B9 * index))
                 failures = identity_failures(curve, w, rng, cfg.max_rank)
-                weights_text = ";".join(format_rational(x) for x in w.weights)
                 verdict = probe.goodness
                 if verdict.status is GoodnessStatus.NOT_GOOD:
                     delta_min = format_rational(verdict.witness_delta)

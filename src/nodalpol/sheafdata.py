@@ -194,6 +194,14 @@ def slope_report(
     return SheafSlopeReport(wrank=wrank, chi=chi, wdeg=wdeg, wslope=wslope)
 
 
+def delta_general_scaled(
+    curve: CurveGraph, lam: Sequence[int], q: int, e: SheafDatum
+) -> int:
+    """The lambda-formula kernel: ``q * delta(E)``, from ``(lam, q)`` of
+    :func:`scaled_lambda`."""
+    return sum(r * l for r, l in zip(e.ranks, lam)) - q * sum(e.stalk_free)
+
+
 def delta_general(curve: CurveGraph, w: Polarization, e: SheafDatum) -> Fraction:
     """Defect via the lambda vector: sum(r_i lambda_i) - sum(s_j).
 
@@ -201,8 +209,18 @@ def delta_general(curve: CurveGraph, w: Polarization, e: SheafDatum) -> Fraction
     locally free datum, whatever the polarization.
     """
     lam, q = scaled_lambda(curve, w)
-    total = sum(r * l for r, l in zip(e.ranks, lam)) - q * sum(e.stalk_free)
-    return Fraction(total, q)
+    return Fraction(delta_general_scaled(curve, lam, q, e), q)
+
+
+def delta_residual_scaled(
+    curve: CurveGraph, lam: Sequence[int], q: int, e: SheafDatum
+) -> int:
+    """The residual-formula kernel: ``2q * delta(E)``."""
+    total = sum(
+        r * (2 * l - q * d)
+        for r, l, d in zip(e.ranks, lam, curve.vertex_degrees)
+    )
+    return total + q * sum(residual_ranks(curve, e))
 
 
 def delta_residual(curve: CurveGraph, w: Polarization, e: SheafDatum) -> Fraction:
@@ -212,12 +230,21 @@ def delta_residual(curve: CurveGraph, w: Polarization, e: SheafDatum) -> Fractio
     agree exactly on every valid datum.
     """
     lam, q = scaled_lambda(curve, w)
-    total = sum(
-        r * (2 * l - q * d)
-        for r, l, d in zip(e.ranks, lam, curve.vertex_degrees)
-    )
-    total += q * sum(residual_ranks(curve, e))
-    return Fraction(total, 2 * q)
+    return Fraction(delta_residual_scaled(curve, lam, q, e), 2 * q)
+
+
+def restrict_scaled(
+    curve: CurveGraph, lam: Sequence[int], q: int, e: SheafDatum, mask: int
+) -> int:
+    """The restriction kernel: ``q * delta(E_B)`` for the subcurve ``mask``."""
+    total = 0
+    for k, l in enumerate(lam):
+        if mask >> k & 1:
+            total += e.ranks[k] * l
+    for j, (ia, ib) in enumerate(curve.edge_index_pairs()):
+        if mask >> ia & 1 and mask >> ib & 1:
+            total -= q * e.stalk_free[j]
+    return total
 
 
 def restrict(
@@ -231,11 +258,7 @@ def restrict(
     boundary-stalk convention out of the picture.
     """
     lam, q = scaled_lambda(curve, w)
-    total = sum(e.ranks[k] * lam[k] for k in b.member_indices)
-    for j, (ia, ib) in enumerate(curve.edge_index_pairs()):
-        if b.mask & (1 << ia) and b.mask & (1 << ib):
-            total -= q * e.stalk_free[j]
-    return Fraction(total, q)
+    return Fraction(restrict_scaled(curve, lam, q, e, b.mask), q)
 
 
 def restricted_wdeg(

@@ -18,7 +18,12 @@ from fractions import Fraction
 
 from .curve import CurveGraph, Subcurve
 from .errors import UnsupportedCurveError, UnsupportedRankError
-from .polarization import Polarization, scaled_lambda
+from .polarization import (
+    Polarization,
+    ScaledLambda,
+    delta_structure_scaled,
+    scaled_lambda,
+)
 from .sheafdata import SheafDatum, slope_report, validate_datum
 
 
@@ -38,22 +43,25 @@ class StabilityVerdict:
     failing_value: Fraction | None = None
 
 
-def oc_stability(curve: CurveGraph, w: Polarization) -> StabilityVerdict:
+def oc_stability(
+    curve: CurveGraph, w: Polarization, scaled: ScaledLambda | None = None
+) -> StabilityVerdict:
     """Decide w-stability of the structure sheaf.
 
     A one-component curve has no proper subcurves, so the verdict there is
-    trivially stable.
+    trivially stable.  ``scaled`` is the pair's :func:`scaled_lambda`, when
+    the caller has it already.
     """
     if curve.gamma == 1:
         return StabilityVerdict(stable=True, semistable=True)
 
-    lam, q = scaled_lambda(curve, w)
+    lam, q = scaled_lambda(curve, w) if scaled is None else scaled
     stable = True
     semistable = True
     failing_mask: int | None = None
     failing_scaled = 0
     for stat in curve.connected_subcurve_stats():
-        s = sum(lam[k] for k in stat.members) - q * stat.internal
+        s = delta_structure_scaled(lam, q, stat.members, stat.internal)
         hi = q * stat.boundary
         if not 0 < s < hi:
             if stable:
@@ -129,8 +137,8 @@ def rank1_stability(
 
     lam, q = scaled_lambda(curve, w)
     # Everything scaled by q: wdeg(E_B)*q stays integral because all ranks
-    # are one and the weights share the denominator q.
-    wq = [int(wi * q) for wi in w.weights]
+    # are one and q is the weights' common denominator.
+    wq = w.numerators
     wdeg_total_q = slope_report(curve, w, e).wdeg * q
     assert wdeg_total_q.denominator == 1
     wdeg_total_q = int(wdeg_total_q)

@@ -335,9 +335,12 @@ def test_criterion_7_conjecture_campaign(tmp_path):
             seed=2026,
         )
         report = run_campaign(cfg, summary_path=tmp_path / "summary.json")
-        assert report.instances_checked > 400_000
+        assert report.instances_checked == 501_961
         assert not report.discrepancies, report.discrepancies[:3]
         assert not report.identity_failures, report.identity_failures[:3]
+        assert report.csv_sha256 == (
+            "de0deb5422f9be553003a2710acb0ac14bf576d68371ee4074e4e011ae75235e"
+        )
 
         # Byte-level reproducibility, asserted on a reduced configuration
         # run twice under the same seed.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,30 @@ class TestOtherCommands:
         assert code == 1
         assert obj["status"] == "NotGood"
         assert obj["witness"]["ranks"] == [1, 0]
+
+    def test_rank_table_limit_exits_2(self, capsys, tmp_path):
+        # O_C is stable here and no base certifies goodness, so the bounded
+        # scan runs; the default rank bound 2*gamma = 14 asks for a table of
+        # 15^7 rows, which the size limit refuses before allocating.
+        ends = [(1, 2), (1, 3), (3, 4), (4, 5), (2, 6), (4, 7), (3, 6), (2, 5), (4, 7), (1, 6)]
+        curve = tmp_path / "gamma7.json"
+        curve.write_text(
+            json.dumps(
+                {
+                    "vertices": [
+                        {"id": k + 1, "genus": g} for k, g in enumerate((1, 1, 0, 0, 2, 2, 1))
+                    ],
+                    "edges": [{"id": j + 1, "ends": list(e)} for j, e in enumerate(ends)],
+                }
+            )
+        )
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": [f"{n}/43" for n in (9, 8, 2, 7, 9, 7, 1)]}))
+        started = time.perf_counter()
+        code = main(["goodness", "--curve", str(curve), "--polarization", str(weights)])
+        assert code == 2
+        assert time.perf_counter() - started < 5.0
+        assert "rank bound" in capsys.readouterr().err
 
     def test_balanced(self, capsys, tmp_path):
         curve = tmp_path / "genus11_banana.json"

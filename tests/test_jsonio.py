@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalpol import CurveGraph, Polarization, SheafDatum
 from nodalpol.errors import SchemaError
@@ -186,3 +188,72 @@ class TestSheafSchema:
 def test_canonical_dumps_is_stable():
     obj = {"b": 1, "a": [1, 2]}
     assert canonical_dumps(obj) == canonical_dumps({"a": [1, 2], "b": 1})
+
+
+# -- fuzzing ----------------------------------------------------------------
+
+_KEYS = ("vertices", "edges", "id", "genus", "ends", "weights", "ranks", "degrees", "stalk_free")
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["1/2", "1/3", "2/3", "0", "1", "-1/2", "1/0", "a", ""])
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), children, max_size=5),
+    max_leaves=25,
+)
+
+
+class TestLoaderFuzz:
+    """Any JSON value loads as a curve, polarization or sheaf, or raises
+    ``SchemaError``; nothing else escapes the loaders."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_any_value(self, value):
+        c = CurveGraph.from_genera([1, 0, 2], [(1, 2), (2, 3), (2, 3)])
+        loaders = (
+            (curve_from_obj, CurveGraph),
+            (polarization_from_obj, Polarization),
+            (lambda obj: sheaf_from_obj(c, obj), SheafDatum),
+        )
+        for load, kind in loaders:
+            try:
+                assert isinstance(load(value), kind)
+            except SchemaError:
+                pass
+        try:
+            assert isinstance(round_trip(json.dumps(value)), str)
+        except SchemaError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.fixed_dictionaries({"id": st.integers(-1, 4), "genus": st.integers(-1, 2)}),
+            max_size=4,
+        ),
+        st.lists(
+            st.fixed_dictionaries(
+                {"id": st.integers(-1, 5), "ends": st.lists(st.integers(-1, 4), min_size=2, max_size=2)}
+            ),
+            max_size=5,
+        ),
+        st.lists(st.sampled_from(["1/2", "1/3", "2/3", "1/4", "3/4", "1", "0", "-1/3", "4/3"]), max_size=4),
+    )
+    def test_near_valid_documents(self, vertices, edges, weights):
+        # Well-formed documents whose values may still be invalid: loops,
+        # duplicate or unknown ids, disconnected graphs, weights off the
+        # simplex.
+        try:
+            assert isinstance(curve_from_obj({"vertices": vertices, "edges": edges}), CurveGraph)
+        except SchemaError:
+            pass
+        try:
+            assert isinstance(polarization_from_obj({"weights": weights}), Polarization)
+        except SchemaError:
+            pass

@@ -183,3 +183,36 @@ class TestRank1Stability:
         e = SheafDatum.line_bundle(c, [5, -5])
         verdict = rank1_stability(c, eta, e)
         assert not verdict.stable
+
+    def test_matches_fraction_definition(self):
+        # Direct definition over every proper subcurve, in Fractions.  The
+        # uniform weights on even Euler characteristic give lambda vectors
+        # whose denominators are smaller than the weights' denominator
+        # (two elliptic curves meeting twice: w = (1/2, 1/2), lambda = (1, 1)).
+        rng = random.Random(31)
+        cases = [(CurveGraph.from_genera([1, 1], [(1, 2), (1, 2)]), Polarization.uniform(2))]
+        for _ in range(300):
+            c = random_curve(rng, max_gamma=4)
+            w = Polarization.uniform(c.gamma) if rng.random() < 0.5 else random_polarization(rng, c.gamma)
+            cases.append((c, w))
+        for c, w in cases:
+            chi = c.euler_characteristic
+            lam = [1 - g - wi * chi for g, wi in zip(c.genera, w.weights)]
+            for _ in range(4):
+                degrees = [rng.randint(-3, 3) for _ in range(c.gamma)]
+                stalks = [rng.randint(0, 1) for _ in range(c.delta)]
+                e = SheafDatum((1,) * c.gamma, tuple(degrees), tuple(stalks))
+                wdeg = sum(lam) + sum(degrees) - sum(stalks)
+                stable = semistable = True
+                for mask in range(1, c.full_mask):
+                    inside = [k for k in range(c.gamma) if mask >> k & 1]
+                    internal = [
+                        j for j, (a, b) in enumerate(c.edge_index_pairs())
+                        if mask >> a & 1 and mask >> b & 1
+                    ]
+                    wdeg_b = sum(lam[k] + degrees[k] for k in inside) - sum(stalks[j] for j in internal)
+                    margin = wdeg_b - wdeg * sum(w.weights[k] for k in inside)
+                    stable = stable and margin > 0
+                    semistable = semistable and margin >= 0
+                verdict = rank1_stability(c, w, e)
+                assert (verdict.stable, verdict.semistable) == (stable, semistable), (c, w, e)
