@@ -35,7 +35,12 @@ import numpy as np
 from .curve import MAX_RANK_TABLE_ENTRIES, CurveGraph
 from .errors import NodalPolError
 from .pathsys import aj_defects_scaled, build_path_system, delta_decomposed_scaled
-from .polarization import Polarization, ScaledLambda, delta_structure_scaled, scaled_lambda
+from .polarization import (
+    Polarization,
+    ScaledLambda,
+    delta_structure_scaled,
+    scaled_lambda,
+)
 from .sheafdata import (
     SheafDatum,
     delta_general_scaled,
@@ -118,7 +123,9 @@ def _rank_vector_table(gamma: int, max_rank: int) -> tuple[np.ndarray, np.ndarra
 _curve_scan: tuple | None = None
 
 
-def _scan_arrays(curve: CurveGraph, max_rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan_arrays(
+    curve: CurveGraph, max_rank: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(table, stalks, not_free)`` for a curve and rank bound.
 
     ``stalks`` holds the minimizing stalk sum ``sum_j min(r_a, r_b)`` of
