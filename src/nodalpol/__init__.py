@@ -11,7 +11,7 @@ equivalence between the two notions.
 from .balanced import MultidegreeBundle, balanced_stability_bridge, is_balanced, is_strictly_balanced, omega_degree
 from .curve import CurveClass, CurveGraph, Subcurve
 from .errors import NodalPolError
-from .goodness import GoodnessStatus, GoodnessVerdict, conjecture_probe, decide, sufficient_check, witness_search
+from .goodness import GoodnessStatus, GoodnessVerdict, conjecture_probe, decide, sufficient_check
 from .pathsys import AjFamily, PathSystem, aj_family, build_path_system, delta_decomposed, star2_conditions, verify_path_identities
 from .polarization import Polarization, StabilityPolytope, canonical, delta_structure, enumerate_weight_grid, from_multidegree, lambda_vector, stability_polytope
 from .search import CampaignConfig, CampaignReport, enumerate_curves, run_campaign, sample_polarizations
@@ -69,5 +69,4 @@ __all__ = [
     "tensor_by_multidegree",
     "validate_datum",
     "verify_path_identities",
-    "witness_search",
 ]

@@ -87,7 +87,7 @@ def _balance_scan(
 
     ratio = Fraction(bundle.total, 2 * pa - 2)
     pairs = curve.edge_index_pairs()
-    for mask in range(1, curve.full_mask):
+    for mask in curve.proper_masks("the balance check"):
         sub = Subcurve(curve, mask)
         deg_b = sum(bundle.degrees[k] for k in sub.member_indices)
         gap = abs(deg_b - ratio * omega_degree(sub))

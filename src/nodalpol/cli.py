@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success with a positive/consistent verdict, 1 when a
 negative verdict was found (unstable, not good, not balanced, or campaign
-discrepancies), 2 on usage or input errors.  All numeric output is exact
-rational text.
+discrepancies), 2 on usage or input errors, 3 when an internal self-check
+failed (a bug, reported with the subcommand and its input paths).  All
+numeric output is exact rational text.
 """
 
 from __future__ import annotations
@@ -44,17 +45,14 @@ def _stability_obj(verdict: StabilityVerdict) -> dict:
 
 def _goodness_obj(verdict: GoodnessVerdict) -> dict:
     obj: dict = {"status": verdict.status.value}
+    # A base already names the path-window certificate.
     if verdict.certificate_base is not None:
         obj["certificate_base"] = verdict.certificate_base
+    elif verdict.certificate_kind is not None:
+        obj["certificate_kind"] = verdict.certificate_kind
     if verdict.witness is not None:
         obj["witness"] = jsonio.sheaf_to_obj(verdict.witness)
         obj["witness_delta"] = jsonio.format_rational(verdict.witness_delta)
-    if verdict.searched_rank_bound is not None:
-        obj["searched_rank_bound"] = verdict.searched_rank_bound
-        if verdict.searched_min_delta is not None:
-            obj["searched_min_delta"] = jsonio.format_rational(
-                verdict.searched_min_delta
-            )
     return obj
 
 
@@ -68,7 +66,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     lam = lambda_vector(curve, w)
     scaled = scaled_lambda(curve, w)
     verdict = oc_stability(curve, w, scaled)
-    good = decide(curve, w, args.max_rank, stability=verdict, scaled=scaled)
+    good = decide(curve, w, stability=verdict, scaled=scaled)
     cls = curve.classify()
     report: dict = {
         "arithmetic_genus": curve.arithmetic_genus,
@@ -127,7 +125,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 def _cmd_goodness(args: argparse.Namespace) -> int:
     curve = jsonio.load_curve(args.curve)
     w = jsonio.load_polarization(args.polarization)
-    verdict = decide(curve, w, args.max_rank)
+    verdict = decide(curve, w)
     _print(_goodness_obj(verdict))
     return 1 if verdict.status is GoodnessStatus.NOT_GOOD else 0
 
@@ -135,7 +133,7 @@ def _cmd_goodness(args: argparse.Namespace) -> int:
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     curve = jsonio.load_curve(args.curve)
     w = jsonio.load_polarization(args.polarization)
-    probe = conjecture_probe(curve, w, args.max_rank)
+    probe = conjecture_probe(curve, w)
     _print(
         {
             "stability": _stability_obj(probe.stability),
@@ -284,10 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
             "--polarization", required=required, help="polarization JSON file"
         )
 
+    def add_obsolete_max_rank(p):
+        p.add_argument(
+            "--max-rank",
+            type=int,
+            default=None,
+            help="accepted for compatibility; no longer has an effect",
+        )
+
     p = sub.add_parser("analyze", help="full report for a polarized curve")
     add_curve(p)
     add_polarization(p)
-    p.add_argument("--max-rank", type=int, default=None)
+    add_obsolete_max_rank(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("canonical", help="canonical polarization of a stable curve")
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("goodness", help="goodness verdict for a polarization")
     add_curve(p)
     add_polarization(p)
-    p.add_argument("--max-rank", type=int, default=None)
+    add_obsolete_max_rank(p)
     p.set_defaults(func=_cmd_goodness)
 
     p = sub.add_parser(
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_curve(p)
     add_polarization(p)
-    p.add_argument("--max-rank", type=int, default=None)
+    add_obsolete_max_rank(p)
     p.set_defaults(func=_cmd_conjecture)
 
     p = sub.add_parser("balanced", help="balance checks for a multidegree")
@@ -341,7 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edges", type=int, required=True)
     p.add_argument("--max-genus", type=int, required=True)
     p.add_argument("--denominator", type=int, required=True)
-    p.add_argument("--max-rank", type=int, required=True)
+    p.add_argument(
+        "--max-rank",
+        type=int,
+        required=True,
+        help="caps the ranks of the identity suite's random data at min(3, this)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--samples", type=int, default=0)
@@ -369,6 +380,16 @@ def main(argv: list[str] | None = None) -> int:
         # never a negative verdict.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # A self-check failed: a bug, never a verdict or bad input.  Name
+        # the instance so that it can be replayed.
+        instance = [args.command]
+        for name in ("curve", "polarization", "degrees", "base"):
+            value = getattr(args, name, None)
+            if value is not None:
+                instance.append(f"--{name} {value}")
+        print(f"internal error in {' '.join(instance)}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

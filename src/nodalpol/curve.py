@@ -17,19 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InvalidCurveError
+from .errors import InvalidCurveError, UnsupportedCurveError
 
 # Subcurves are bitmasks in a Python int.  Enumerating the connected
 # subcurves costs time proportional to their number: polynomial on chains
 # and cycles up to this bound, still exponential on dense curves and stars.
 MAX_COMPONENTS = 62
 
-# The bounded goodness scan materializes every rank vector in
-# {0..max_rank}^gamma as an int64 table with gamma columns.  A scan whose
-# table would hold more entries than this (64 MiB of int64) is refused with
-# a NodalPolError instead of exhausting memory; the default rank bound 2*gamma
-# crosses it from gamma = 6 on.
-MAX_RANK_TABLE_ENTRIES = 1 << 23
+# The balance check and rank-one stability still visit every subset of
+# components.  They refuse a curve with more subsets than this (gamma > 18)
+# with an UnsupportedCurveError, instead of running for minutes or hours.
+MAX_SUBSET_MASKS = 1 << 18
 
 
 class SubcurveStat(NamedTuple):
@@ -225,6 +223,16 @@ class CurveGraph:
 
     def subcurve_from_mask(self, mask: int) -> "Subcurve":
         return Subcurve(self, mask)
+
+    def proper_masks(self, scan: str) -> range:
+        """Every proper non-empty subset mask, for a ``scan`` that visits
+        them all; refused beyond ``MAX_SUBSET_MASKS`` subsets."""
+        if 1 << self.gamma > MAX_SUBSET_MASKS:
+            raise UnsupportedCurveError(
+                f"{scan} visits all 2^{self.gamma} subsets of components, "
+                f"more than the limit of {MAX_SUBSET_MASKS}"
+            )
+        return range(1, self.full_mask)
 
     def subset_counts(self, mask: int) -> tuple[int, int]:
         """(internal node count, boundary node count) of a vertex subset."""

@@ -1,25 +1,54 @@
-"""Deciding or gathering evidence for goodness of a polarization.
+"""Deciding goodness of a polarization.
 
 A polarization is *good* when the defect of every depth-one datum is
-non-negative, with zero exactly on locally free data.  Three verdicts are
+non-negative, with zero exactly on locally free data.  Two verdicts are
 possible:
 
 * ``NOT_GOOD`` -- a concrete witness datum with negative defect, or zero
-  defect while not locally free, is in hand.  Whenever O_C fails to be
-  w-stable such a witness exists and is built constructively from a
-  failing subcurve, so an unstable pair can never be good.
-* ``GOOD_CERTIFIED`` -- for some base vertex, every non-empty far-side
+  defect while not locally free, built constructively from a subcurve on
+  which O_C fails to be w-stable and re-checked through all three defect
+  formulas.
+* ``GOOD_CERTIFIED`` -- O_C is w-stable, with one of two certificates.
+  ``path-window`` names a base vertex for which every non-empty far-side
   subcurve satisfies its two-sided defect window; the decomposition
   formula then makes the defect a non-negative combination with positive
-  coefficients, which is a proof of goodness.
-* ``EVIDENCE_GOOD`` -- neither of the above: a bounded exhaustive search
-  over rank vectors found no witness.  This is deliberately the strongest
-  non-certified verdict.  For a fixed rank vector the defect is linear
-  decreasing in each stalk rank, so only the minimizing stalk choice
-  ``s_j = min`` of the branch ranks needs evaluation, and homogeneity
-  suggests small rank vectors decide the matter outright; the search still
-  enumerates the whole box precisely because that reduction is the open
-  equivalence being stress-tested, not a fact this tool may assume.
+  coefficients.  ``level-set`` is the theorem below, which needs no base.
+
+**Level sets.**  Inside the numeric model of a datum (ranks ``r_k``, free
+stalk ranks ``s_j``; realizability is assumed, see ``sheafdata``),
+goodness is equivalent to w-stability of O_C.  The defect
+
+    delta(r, s) = sum_k r_k * lambda_k - sum_j s_j
+
+decreases in every stalk rank, so for fixed ``r`` it is least at
+``s_j = min(r_a, r_b)`` over each node's branches, and any other admissible
+choice is strictly larger.  Let ``0 = t_0 < t_1 < ... < t_m`` be the
+distinct values of ``r`` together with 0, and ``B_i = {k : r_k >= t_i}``.
+Then ``r_k`` and ``min(r_a, r_b)`` are the sums of ``t_i - t_(i-1)`` over
+the levels containing ``k``, respectively both of ``a`` and ``b``, so
+
+    delta(r, min) = sum_i (t_i - t_(i-1)) * delta(O_(B_i)),
+
+the Lovasz extension of ``B -> delta(O_B)`` (Lovasz, "Submodular functions
+and convexity", 1983).  Three facts about ``delta(O_B) = sum of lambda_k
+over B minus the nodes internal to B`` close the argument: it is additive
+over the connected pieces of B; ``delta(O_C) = 0``; and
+``delta(O_B) + delta(O_(B^c)) = delta_B``, the boundary node count.
+
+* If O_C is stable, ``delta(O_B) > 0`` on every proper non-empty B, since
+  each connected piece of B is proper and connected.  So every defect is
+  non-negative, and it vanishes only when every ``B_i`` is the whole curve
+  and every ``s_j`` is minimal: ``r`` is constant and positive, which is a
+  locally free datum.  The polarization is good.
+* If O_C is not stable, a proper connected B has ``delta(O_B) <= 0`` or
+  ``delta(O_B) >= delta_B``.  Then O_B, or else O_(B^c), is not locally
+  free and has defect at most 0: the constructive witness below.
+
+So a witness exists exactly when O_C is unstable, and the campaign's
+discrepancy check (:func:`conjecture_probe`) can catch only internal
+inconsistencies of this package -- a wrong stability verdict, witness or
+kernel -- never a counterexample to the paper's conjecture, which is about
+sheaves on actual curves rather than this numeric model.
 """
 
 from __future__ import annotations
@@ -27,13 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 
-import numpy as np
-
-from .curve import MAX_RANK_TABLE_ENTRIES, CurveGraph
-from .errors import NodalPolError
+from .curve import CurveGraph
 from .pathsys import aj_defects_scaled, build_path_system, delta_decomposed_scaled
 from .polarization import (
     Polarization,
@@ -50,32 +74,29 @@ from .sheafdata import (
 )
 from .stability import StabilityVerdict, oc_stability
 
+PATH_WINDOW = "path-window"
+LEVEL_SET = "level-set"
+
 
 class GoodnessStatus(Enum):
     GOOD_CERTIFIED = "GoodCertified"
     NOT_GOOD = "NotGood"
-    EVIDENCE_GOOD = "EvidenceGood"
 
 
 @dataclass(frozen=True)
 class GoodnessVerdict:
     """Verdict plus the object backing it.
 
-    ``certificate_base`` is set for ``GOOD_CERTIFIED``; ``witness`` and
-    ``witness_delta`` for ``NOT_GOOD``; ``searched_rank_bound`` (and the
-    minimum defect met during the scan) for ``EVIDENCE_GOOD``.
+    ``certificate_kind`` (``PATH_WINDOW`` or ``LEVEL_SET``) is set for
+    ``GOOD_CERTIFIED``, and ``certificate_base`` with ``PATH_WINDOW``;
+    ``witness`` and ``witness_delta`` for ``NOT_GOOD``.
     """
 
     status: GoodnessStatus
     certificate_base: int | None = None
     witness: SheafDatum | None = None
     witness_delta: Fraction | None = None
-    searched_rank_bound: int | None = None
-    searched_min_delta: Fraction | None = None
-
-
-def default_rank_bound(curve: CurveGraph) -> int:
-    return 2 * curve.gamma
+    certificate_kind: str | None = None
 
 
 def sufficient_check(
@@ -103,141 +124,17 @@ def sufficient_check(
     return None
 
 
-@lru_cache(maxsize=16)
-def _rank_vector_table(gamma: int, max_rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-zero rank vectors, ascending by maximum entry then lexicographic,
-    and the mask of the rows whose ranks are all at least one.
-
-    Callers keep the table within ``MAX_RANK_TABLE_ENTRIES`` entries.
-    """
-    grid = np.indices((max_rank + 1,) * gamma).reshape(gamma, -1).T
-    grid = grid[1:]  # drop the zero vector
-    order = np.argsort(grid.max(axis=1), kind="stable")
-    table = np.ascontiguousarray(grid[order], dtype=np.int64)
-    return table, (table >= 1).all(axis=1)
+def _level_set_certificate(stability: StabilityVerdict) -> GoodnessVerdict:
+    """Goodness of a stable pair by the level-set theorem (module docstring)."""
+    if not stability.stable:
+        raise AssertionError("a level-set certificate needs a stable O_C")
+    return GoodnessVerdict(
+        status=GoodnessStatus.GOOD_CERTIFIED, certificate_kind=LEVEL_SET
+    )
 
 
-# The scan arrays of the latest curve only: a campaign scans all of a
-# curve's polarizations before it moves on, and older arrays would only
-# hold memory.
-_curve_scan: tuple | None = None
-
-
-def _scan_arrays(
-    curve: CurveGraph, max_rank: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(table, stalks, not_free)`` for a curve and rank bound.
-
-    ``stalks`` holds the minimizing stalk sum ``sum_j min(r_a, r_b)`` of
-    every table row and ``not_free`` is 1 on the rows that are not locally
-    free, 0 on the others; neither depends on the polarization.
-    """
-    global _curve_scan
-    cached = _curve_scan
-    if cached is not None and cached[0] is curve and cached[1] == max_rank:
-        return cached[2]
-    table, positive = _rank_vector_table(curve.gamma, max_rank)
-    stalks = np.zeros(len(table), dtype=np.int64)
-    free = positive.copy()
-    for ia, ib in curve.edge_index_pairs():
-        ca, cb = table[:, ia], table[:, ib]
-        stalks += np.minimum(ca, cb)
-        free &= ca == cb
-    arrays = (table, stalks, (~free).astype(np.int8))
-    _curve_scan = (curve, max_rank, arrays)
-    return arrays
-
-
-def _scan_rank_vectors(
-    curve: CurveGraph,
-    w: Polarization,
-    max_rank: int,
-    scaled: ScaledLambda | None = None,
-) -> tuple[SheafDatum | None, Fraction | None]:
-    """Exhaustive witness scan over rank vectors in {0..max_rank}^gamma.
-
-    Vectors are visited ascending by maximum entry, then lexicographically,
-    each with the defect-minimizing stalk choice.  Returns the first
-    witness (negative defect, or zero defect while not locally free) and
-    the minimum defect encountered over the whole enumeration.
-
-    Big boxes are evaluated with vectorized int64 arithmetic; magnitudes
-    are bounded first, with a fall-back to plain integers when they could
-    overflow.  Both paths compute the identical exact predicate.  A box
-    of more than ``MAX_RANK_TABLE_ENTRIES`` entries is refused.
-    """
-    lam, q = scaled_lambda(curve, w) if scaled is None else scaled
-    size = (max_rank + 1) ** curve.gamma
-    if (size - 1) * curve.gamma > MAX_RANK_TABLE_ENTRIES:
-        raise NodalPolError(
-            f"the rank scan over {{0..{max_rank}}}^{curve.gamma} would hold "
-            f"{(size - 1) * curve.gamma} table entries, more than the limit of "
-            f"{MAX_RANK_TABLE_ENTRIES}; pass a smaller rank bound"
-        )
-    bound = max_rank * (sum(abs(x) for x in lam) + q * curve.delta)
-    if size >= 512 and bound < 2**62:
-        return _scan_vectorized(curve, lam, q, max_rank)
-    return _scan_plain(curve, lam, q, max_rank)
-
-
-def _scan_plain(
-    curve: CurveGraph, lam: tuple[int, ...], q: int, max_rank: int
-) -> tuple[SheafDatum | None, Fraction | None]:
-    gamma = curve.gamma
-    pairs = curve.edge_index_pairs()
-    min_scaled: int | None = None
-    for top in range(1, max_rank + 1):
-        for r in product(range(top + 1), repeat=gamma):
-            if max(r) != top:
-                continue
-            s = 0
-            for k in range(gamma):
-                s += r[k] * lam[k]
-            locally_free = all(x >= 1 for x in r)
-            for ia, ib in pairs:
-                ra, rb = r[ia], r[ib]
-                s -= q * (ra if ra < rb else rb)
-                if ra != rb:
-                    locally_free = False
-            if min_scaled is None or s < min_scaled:
-                min_scaled = s
-            if s < 0 or (s == 0 and not locally_free):
-                datum = SheafDatum.with_minimizing_stalks(curve, r)
-                return datum, Fraction(s, q)
-    if min_scaled is None:
-        return None, None
-    return None, Fraction(min_scaled, q)
-
-
-def _scan_vectorized(
-    curve: CurveGraph, lam: tuple[int, ...], q: int, max_rank: int
-) -> tuple[SheafDatum | None, Fraction | None]:
-    table, stalks, not_free = _scan_arrays(curve, max_rank)
-    defects = table @ np.asarray(lam, dtype=np.int64)
-    defects -= q * stalks
-    # A witness has a negative defect, or a zero one while not locally free.
-    hits = defects < not_free
-    first = int(np.argmax(hits))
-    if hits[first]:
-        r = tuple(int(x) for x in table[first])
-        return (
-            SheafDatum.with_minimizing_stalks(curve, r),
-            Fraction(int(defects[first]), q),
-        )
-    return None, Fraction(int(defects.min()), q)
-
-
-def witness_search(
-    curve: CurveGraph, w: Polarization, max_rank: int
-) -> tuple[SheafDatum, Fraction] | None:
-    """First witness datum with its defect, or ``None`` when the bounded
-    enumeration comes up empty."""
-    if max_rank < 1:
-        raise ValueError("the rank bound must be positive")
-    datum, value = _scan_rank_vectors(curve, w, max_rank)
-    if datum is None:
-        return None
-    return datum, value  # type: ignore[return-value]
+# bench/tracing.py times this stage under its former name.
+_scan_rank_vectors = _level_set_certificate
 
 
 def _witness_from_failing_subcurve(
@@ -292,20 +189,17 @@ def _check_witness(
 def decide(
     curve: CurveGraph,
     w: Polarization,
-    max_rank: int | None = None,
     stability: StabilityVerdict | None = None,
     scaled: ScaledLambda | None = None,
 ) -> GoodnessVerdict:
     """Full goodness decision procedure.
 
     Order: instability yields a constructive ``NOT_GOOD`` witness; then a
-    window certificate yields ``GOOD_CERTIFIED``; then the bounded scan
-    either finds a witness or returns ``EVIDENCE_GOOD``.  A precomputed
-    stability verdict and :func:`scaled_lambda` for the same pair may be
-    passed to avoid recomputing them.
+    window certificate yields ``GOOD_CERTIFIED`` with its base; otherwise
+    the level-set theorem certifies goodness.  A precomputed stability
+    verdict and :func:`scaled_lambda` for the same pair may be passed to
+    avoid recomputing them.
     """
-    if max_rank is None:
-        max_rank = default_rank_bound(curve)
     if scaled is None:
         scaled = scaled_lambda(curve, w)
     if stability is None:
@@ -319,21 +213,11 @@ def decide(
     base = sufficient_check(curve, w, scaled)
     if base is not None:
         return GoodnessVerdict(
-            status=GoodnessStatus.GOOD_CERTIFIED, certificate_base=base
+            status=GoodnessStatus.GOOD_CERTIFIED,
+            certificate_base=base,
+            certificate_kind=PATH_WINDOW,
         )
-    datum, min_delta = _scan_rank_vectors(curve, w, max_rank, scaled)
-    if datum is not None:
-        _check_witness(curve, w, datum, min_delta, scaled)  # type: ignore[arg-type]
-        return GoodnessVerdict(
-            status=GoodnessStatus.NOT_GOOD,
-            witness=datum,
-            witness_delta=min_delta,
-        )
-    return GoodnessVerdict(
-        status=GoodnessStatus.EVIDENCE_GOOD,
-        searched_rank_bound=max_rank,
-        searched_min_delta=min_delta,
-    )
+    return _level_set_certificate(stability)
 
 
 @dataclass(frozen=True)
@@ -346,19 +230,16 @@ class ProbeReport:
     description: str
 
 
-def conjecture_probe(
-    curve: CurveGraph, w: Polarization, max_rank: int | None = None
-) -> ProbeReport:
+def conjecture_probe(curve: CurveGraph, w: Polarization) -> ProbeReport:
     """Compare w-stability of O_C with the goodness verdict.
 
-    A stable pair judged ``NOT_GOOD`` would be a genuine counterexample to
-    the conjectured equivalence; an unstable pair not judged ``NOT_GOOD``
-    would be an internal consistency failure, since instability always
-    produces a constructive witness.
+    A stable pair judged ``NOT_GOOD``, or an unstable pair not judged
+    ``NOT_GOOD``, is a discrepancy.  By the level-set theorem either one
+    means an internal inconsistency, not a counterexample.
     """
     scaled = scaled_lambda(curve, w)
     stability = oc_stability(curve, w, scaled)
-    verdict = decide(curve, w, max_rank, stability=stability, scaled=scaled)
+    verdict = decide(curve, w, stability=stability, scaled=scaled)
     not_good = verdict.status is GoodnessStatus.NOT_GOOD
     if stability.stable and not_good:
         return ProbeReport(

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 from .curve import CurveGraph
 from .errors import NodalPolError
@@ -89,7 +91,8 @@ class CampaignConfig:
 
     ``mode`` is ``"exhaustive"`` (every grid polarization; the seed only
     feeds the identity suite) or ``"random"`` (``sample_count`` seeded grid
-    draws per curve).  ``max_rank`` caps the witness search.
+    draws per curve).  ``max_rank`` caps the ranks of the identity suite's
+    random data at ``min(3, max_rank)``; goodness needs no rank bound.
     """
 
     max_vertices: int
@@ -389,15 +392,15 @@ def run_campaign(
     """Sweep the corpus; nonzero-severity outcomes land in the report.
 
     The CSV has one row per (curve, polarization) instance.  ``delta_min``
-    is the witness defect for a NotGood verdict, the minimum defect met by
-    the exhaustive bounded scan for EvidenceGood, and empty when no scan
-    ran (certified instances).
+    is the witness defect for a NotGood verdict and empty for GoodCertified.
+    The CSV and the summary are each written to a temporary file beside
+    their path and renamed into place once complete, so a campaign that
+    fails leaves no partial file behind.
     """
     report = CampaignReport(config=cfg)
     started = time.monotonic()
     digest = hashlib.sha256()
-    sink = io.StringIO() if csv_path is None else open(csv_path, "w", encoding="utf-8")
-    try:
+    with _atomic_text(csv_path) as sink:
         _emit(sink, digest, _CSV_HEADER)
         index = 0
         # The polarization grid only depends on the component count, so
@@ -419,14 +422,12 @@ def run_campaign(
             if cfg.mode == "random":
                 polarizations = _draw_samples(polarizations, cfg, chash)
             for w, weights_text in polarizations:
-                probe = conjecture_probe(curve, w, cfg.max_rank)
+                probe = conjecture_probe(curve, w)
                 rng = SplitMix64(cfg.seed ^ (0xA5A5A5A5 + 0x9E3779B9 * index))
                 failures = identity_failures(curve, w, rng, cfg.max_rank)
                 verdict = probe.goodness
                 if verdict.status is GoodnessStatus.NOT_GOOD:
                     delta_min = format_rational(verdict.witness_delta)
-                elif verdict.searched_min_delta is not None:
-                    delta_min = format_rational(verdict.searched_min_delta)
                 else:
                     delta_min = ""
                 row = (
@@ -463,16 +464,33 @@ def run_campaign(
                     )
                 index += 1
         report.instances_checked = index
-    finally:
-        if csv_path is not None:
-            sink.close()
     report.csv_sha256 = digest.hexdigest()
     report.wall_time = time.monotonic() - started
     if summary_path is not None:
-        Path(summary_path).write_text(
-            canonical_dumps(report.summary_obj()), encoding="utf-8"
-        )
+        with _atomic_text(summary_path) as out:
+            out.write(canonical_dumps(report.summary_obj()))
     return report
+
+
+@contextmanager
+def _atomic_text(path: str | Path | None) -> Iterator[TextIO]:
+    """A text sink for ``path`` that appears there only when the block
+    completes: a temporary file in the same directory, renamed over
+    ``path`` at the end and removed on an exception.  Without a path the
+    sink is an in-memory buffer."""
+    if path is None:
+        yield io.StringIO()
+        return
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    out = open(tmp, "w", encoding="utf-8")
+    try:
+        with out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _emit(sink, digest: "hashlib._Hash", text: str) -> None:

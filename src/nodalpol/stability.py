@@ -149,7 +149,7 @@ def rank1_stability(
     semistable = True
     failing_mask: int | None = None
     failing_value: Fraction | None = None
-    for mask in range(1, curve.full_mask):
+    for mask in curve.proper_masks("rank-one stability"):
         # q*wdeg(E_B) = sum over members of q*(lambda_i + d_i) minus q*s_j
         # over internal nodes; q*wrank(E_B) = sum of scaled weights.
         lhs = 0

@@ -41,6 +41,7 @@ from nodalpol import (
     validate_datum,
     verify_path_identities,
 )
+from nodalpol.goodness import PATH_WINDOW
 
 F = Fraction
 
@@ -94,7 +95,7 @@ def test_criterion_2_canonical_weights_on_stable_corpus():
             for base in c.vertex_ids:
                 fam = aj_family(c, eta, build_path_system(c, base))
                 assert all(ok for _, ok in star2_conditions(fam))
-            assert decide(c, eta).status is GoodnessStatus.GOOD_CERTIFIED
+            assert decide(c, eta).certificate_kind == PATH_WINDOW
             checked += 1
         assert checked > 1000
         print(f"  stable curves checked: {checked}", flush=True)
@@ -115,10 +116,12 @@ def test_criterion_3_tree_curve_equivalence():
                 continue
             for w in enumerate_weight_grid(c.gamma, 12):
                 verdict = oc_stability(c, w)
-                good = decide(c, w, 12, stability=verdict)
+                good = decide(c, w, stability=verdict)
                 assert verdict.stable == (good.status is not GoodnessStatus.NOT_GOOD)
                 if verdict.stable:
+                    # The paper's theorem on compact type: a path window.
                     assert good.status is GoodnessStatus.GOOD_CERTIFIED
+                    assert good.certificate_kind == PATH_WINDOW
                 instances += 1
         assert instances > 100_000
         print(f"  tree instances checked: {instances}", flush=True)
@@ -142,9 +145,7 @@ def test_criterion_4_low_genus_families():
             for w in enumerate_weight_grid(c.gamma, 12):
                 verdict = oc_stability(c, w)
                 assert verdict.stable
-                assert decide(c, w, stability=verdict).status is (
-                    GoodnessStatus.GOOD_CERTIFIED
-                )
+                assert decide(c, w, stability=verdict).certificate_kind == PATH_WINDOW
                 count0 += 1
 
         count_cycles = 0
@@ -155,9 +156,7 @@ def test_criterion_4_low_genus_families():
             for w in enumerate_weight_grid(gamma, 12):
                 verdict = oc_stability(c, w)
                 assert verdict.stable
-                assert decide(c, w, stability=verdict).status is (
-                    GoodnessStatus.GOOD_CERTIFIED
-                )
+                assert decide(c, w, stability=verdict).certificate_kind == PATH_WINDOW
                 count_cycles += 1
 
         # A single genus-1 component has no nodes and gets the trivially
@@ -339,7 +338,7 @@ def test_criterion_7_conjecture_campaign(tmp_path):
         assert not report.discrepancies, report.discrepancies[:3]
         assert not report.identity_failures, report.identity_failures[:3]
         assert report.csv_sha256 == (
-            "de0deb5422f9be553003a2710acb0ac14bf576d68371ee4074e4e011ae75235e"
+            "33d0d5f28190adff0b7daeb50c9833604649a9074ffa294efd5e2ba2aee82e66"
         )
 
         # Byte-level reproducibility, asserted on a reduced configuration

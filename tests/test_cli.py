@@ -55,7 +55,7 @@ class TestAnalyze:
         assert code == 0
         assert report["classification"]["cycle_of_rationals"] is True
         assert report["stability"]["stable"] is True
-        assert report["goodness"]["status"] == "GoodCertified"
+        assert report["goodness"] == {"status": "GoodCertified", "certificate_base": 1}
 
     def test_banana_balanced_weights(self, capsys):
         code, report = run(
@@ -185,10 +185,9 @@ class TestOtherCommands:
         assert obj["status"] == "NotGood"
         assert obj["witness"]["ranks"] == [1, 0]
 
-    def test_rank_table_limit_exits_2(self, capsys, tmp_path):
-        # O_C is stable here and no base certifies goodness, so the bounded
-        # scan runs; the default rank bound 2*gamma = 14 asks for a table of
-        # 15^7 rows, which the size limit refuses before allocating.
+    def test_gamma7_level_set_certificate_exits_0(self, capsys, tmp_path):
+        # O_C is stable here and no base certifies goodness, so the level-set
+        # theorem does, with no rank bound and no table of rank vectors.
         ends = [(1, 2), (1, 3), (3, 4), (4, 5), (2, 6), (4, 7), (3, 6), (2, 5), (4, 7), (1, 6)]
         curve = tmp_path / "gamma7.json"
         curve.write_text(
@@ -204,10 +203,47 @@ class TestOtherCommands:
         weights = tmp_path / "w.json"
         weights.write_text(json.dumps({"weights": [f"{n}/43" for n in (9, 8, 2, 7, 9, 7, 1)]}))
         started = time.perf_counter()
-        code = main(["goodness", "--curve", str(curve), "--polarization", str(weights)])
+        code, obj = run(capsys, "goodness", "--curve", str(curve), "--polarization", str(weights))
+        assert time.perf_counter() - started < 5.0
+        assert code == 0
+        assert obj == {"status": "GoodCertified", "certificate_kind": "level-set"}
+        # --max-rank is still accepted, and changes nothing.
+        assert run(
+            capsys, "conjecture", "--curve", str(curve), "--polarization", str(weights),
+            "--max-rank", "1",
+        )[1]["goodness"] == obj
+
+    def test_subset_scan_limit_exits_2(self, capsys, tmp_path):
+        # The balance check visits every subset; a chain of 19 genus-2
+        # components has 2^19 of them, above MAX_SUBSET_MASKS.
+        curve = tmp_path / "chain19.json"
+        curve.write_text(
+            json.dumps(
+                {
+                    "vertices": [{"id": k, "genus": 2} for k in range(1, 20)],
+                    "edges": [{"id": k, "ends": [k, k + 1]} for k in range(1, 19)],
+                }
+            )
+        )
+        started = time.perf_counter()
+        code = main(["balanced", "--curve", str(curve), "--degrees", ",".join(["2"] * 19)])
         assert code == 2
         assert time.perf_counter() - started < 5.0
-        assert "rank bound" in capsys.readouterr().err
+        assert "subsets" in capsys.readouterr().err
+
+    def test_failed_self_check_exits_3(self, capsys, monkeypatch):
+        # A residual kernel that disagrees with the other two formulas trips
+        # the witness re-check: an internal error, reported with its inputs.
+        import nodalpol.goodness
+
+        monkeypatch.setattr(nodalpol.goodness, "delta_residual_scaled", lambda *a: 1)
+        curve = fixture("two_genus2_one_node.json")
+        weights = fixture("w_one_sixth.json")
+        code = main(["goodness", "--curve", curve, "--polarization", weights])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"goodness --curve {curve} --polarization {weights}" in err
+        assert "residual formula" in err
 
     def test_balanced(self, capsys, tmp_path):
         curve = tmp_path / "genus11_banana.json"

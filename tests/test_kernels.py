@@ -15,8 +15,6 @@ import random
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from conftest import random_curve, random_datum, random_polarization
 from nodalpol import (
     CurveGraph,
@@ -28,11 +26,9 @@ from nodalpol import (
     delta_general,
     delta_residual,
     delta_structure,
-    is_locally_free,
     lambda_vector,
     restrict,
 )
-from nodalpol.goodness import _rank_vector_table, _scan_arrays
 from nodalpol.pathsys import aj_defects_scaled, delta_decomposed_scaled
 from nodalpol.polarization import delta_structure_scaled, scaled_lambda
 from nodalpol.sheafdata import delta_general_scaled, delta_residual_scaled, restrict_scaled
@@ -182,30 +178,3 @@ def test_path_kernels():
             assert F(delta_decomposed_scaled(ps, q, aj, e), 2 * q) == expected
             fam = aj_family(c, w, ps)
             assert delta_decomposed(c, w, ps, fam, e) == expected
-
-
-def _per_call_scan_arrays(c: CurveGraph, max_rank: int):
-    """Stalk sums and the not-locally-free flag, one row at a time."""
-    table, positive = _rank_vector_table(c.gamma, max_rank)
-    stalks, not_free = [], []
-    for row, pos in zip(table, positive):
-        ranks = tuple(int(x) for x in row)
-        datum = SheafDatum.with_minimizing_stalks(c, ranks)
-        stalks.append(sum(datum.stalk_free))
-        not_free.append(0 if is_locally_free(c, datum) else 1)
-        assert bool(pos) == all(r >= 1 for r in ranks)
-    return stalks, not_free
-
-
-def test_cached_scan_arrays_match_per_call_computation():
-    rng = random.Random(6)
-    curves = [random_curve(rng, max_gamma=4) for _ in range(25)]
-    # Revisit curves so that the one-curve cache is replaced and refilled.
-    for c in curves + curves[::3]:
-        for max_rank in (1, 3):
-            table, stalks, not_free = _scan_arrays(c, max_rank)
-            assert table is _rank_vector_table(c.gamma, max_rank)[0]
-            expected_stalks, expected_not_free = _per_call_scan_arrays(c, max_rank)
-            assert stalks.dtype == np.int64
-            assert stalks.tolist() == expected_stalks
-            assert not_free.tolist() == expected_not_free

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 
@@ -156,6 +157,38 @@ class TestRunCampaign:
         summary = (tmp_path / "summary.json").read_text()
         assert '"consistent": true' in summary
 
+    def test_csv_matches_its_hash_and_leaves_no_temporary(self, tmp_path):
+        report = run_campaign(
+            cfg(), csv_path=tmp_path / "rows.csv", summary_path=tmp_path / "summary.json"
+        )
+        data = (tmp_path / "rows.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == report.csv_sha256
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "summary.json"]
+
+    def test_failed_campaign_leaves_no_output(self, tmp_path, monkeypatch):
+        import nodalpol.search
+
+        real = nodalpol.search.conjecture_probe
+        calls = []
+
+        def failing_probe(curve, w):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("probe failed")
+            return real(curve, w)
+
+        monkeypatch.setattr(nodalpol.search, "conjecture_probe", failing_probe)
+        (tmp_path / "old.csv").write_text("kept\n")
+        for name in ("rows.csv", "old.csv"):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="probe failed"):
+                run_campaign(
+                    cfg(), csv_path=tmp_path / name, summary_path=tmp_path / "summary.json"
+                )
+        # Nothing at the new path, the old file untouched, no temporaries.
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+        assert (tmp_path / "old.csv").read_text() == "kept\n"
+
     def test_bit_reproducible(self, tmp_path):
         config = cfg(
             max_vertices=3,
@@ -189,7 +222,7 @@ class TestRunCampaign:
             (
                 dict(max_vertices=3, max_edges=4, weight_denominator_bound=6, max_rank=9),
                 856,
-                "49c006fa5f0559241a733986fb3827edf7c7b1a352de4876ebd0646cdc7509ea",
+                "c182f60ebb69dfd5c6053504e132fb3c8610d1c6d805572bf2a325b20d8c000b",
             ),
             (
                 dict(
@@ -201,7 +234,7 @@ class TestRunCampaign:
                     sample_count=3,
                 ),
                 378,
-                "a6b7e97da7c6b6ef541b399dc8204ceae921b17e7f53911bcd42bb235c5a00b4",
+                "f0b998e325a1bff05b3d5d851166307331a4459d79cca0cd512719dbc0acb92c",
             ),
         ],
         ids=["exhaustive", "random"],

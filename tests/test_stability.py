@@ -17,6 +17,7 @@ from nodalpol import (
     rank1_stability,
     star_conditions,
 )
+from nodalpol.curve import MAX_SUBSET_MASKS
 from nodalpol.errors import UnsupportedCurveError, UnsupportedRankError
 
 F = Fraction
@@ -176,6 +177,19 @@ class TestRank1Stability:
             rank1_stability(
                 c, Polarization.uniform(2), SheafDatum((1, 0), (0, 0), (0,))
             )
+
+    def test_subset_limit(self):
+        # 2^18 subsets are scanned; 2^19 are refused before the scan starts.
+        for gamma, refused in ((18, False), (19, True)):
+            c = CurveGraph.from_genera([0] * gamma, [(k, k + 1) for k in range(1, gamma)])
+            assert (1 << gamma > MAX_SUBSET_MASKS) == refused
+            if refused:
+                with pytest.raises(UnsupportedCurveError, match="subsets"):
+                    rank1_stability(
+                        c, Polarization.uniform(gamma), SheafDatum.structure_sheaf(c)
+                    )
+            else:
+                assert c.proper_masks("a scan") == range(1, c.full_mask)
 
     def test_unbalanced_multidegree_can_destabilize(self):
         c = two_genus2()
