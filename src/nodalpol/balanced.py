@@ -153,8 +153,15 @@ class BridgeReport:
 
 
 def balanced_stability_bridge(
-    curve: CurveGraph, bundle: MultidegreeBundle
+    curve: CurveGraph,
+    bundle: MultidegreeBundle,
+    strictly_balanced: bool | None = None,
 ) -> BridgeReport:
+    """Compare strict balance with stability of O_C (see :class:`BridgeReport`).
+
+    ``strictly_balanced`` is the verdict a caller already holds from
+    :func:`balance_report`; when absent, the subcurve scan runs here.
+    """
     cls = curve.classify()
     pa = curve.arithmetic_genus
     if not cls.stable:
@@ -166,26 +173,25 @@ def balanced_stability_bridge(
             False,
             f"total degree {bundle.total} differs from p_a - 1 = {pa - 1}",
         )
-    strict = is_strictly_balanced(curve, bundle)
+    strict = (
+        is_strictly_balanced(curve, bundle)
+        if strictly_balanced is None
+        else strictly_balanced
+    )
     w = from_multidegree(curve, bundle.degrees)
     verdict = oc_stability(curve, w)
-    report = BridgeReport(
+    goodness_status = goodness_equivalent = None
+    if cls.compact_type:
+        goodness_status = decide(curve, w, stability=verdict).status
+        goodness_equivalent = strict == (
+            goodness_status is GoodnessStatus.GOOD_CERTIFIED
+        )
+    return BridgeReport(
         applicable=True,
         reason=None,
         strictly_balanced=strict,
         oc_stable=verdict.stable,
         equivalent=strict == verdict.stable,
+        goodness_status=goodness_status,
+        goodness_equivalent=goodness_equivalent,
     )
-    if cls.compact_type:
-        good = decide(curve, w)
-        report = BridgeReport(
-            applicable=True,
-            reason=None,
-            strictly_balanced=strict,
-            oc_stable=verdict.stable,
-            equivalent=strict == verdict.stable,
-            goodness_status=good.status,
-            goodness_equivalent=strict
-            == (good.status is GoodnessStatus.GOOD_CERTIFIED),
-        )
-    return report

@@ -5,13 +5,18 @@ negative verdict was found (unstable, not good, not balanced, or campaign
 discrepancies), 2 on usage or input errors, 3 when an internal self-check
 failed (a bug, reported with the subcommand and its input paths).  All
 numeric output is exact rational text.
+
+:func:`main` builds the argument parser once per process, on its first
+call, and dispatches a command by name to the ``_cmd_<name>`` function
+bound in this module at that moment, so a wrapper or a test double put in
+its place takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
+from functools import cache
 
 from . import jsonio
 from .balanced import MultidegreeBundle, balance_report, balanced_stability_bridge
@@ -21,7 +26,6 @@ from .pathsys import aj_family, build_path_system
 from .polarization import (
     canonical,
     delta_structure_scaled,
-    lambda_vector,
     scaled_lambda,
     stability_polytope,
 )
@@ -63,8 +67,8 @@ def _print(obj) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     curve = jsonio.load_curve(args.curve)
     w = jsonio.load_polarization(args.polarization)
-    lam = lambda_vector(curve, w)
     scaled = scaled_lambda(curve, w)
+    lam, q = scaled
     verdict = oc_stability(curve, w, scaled)
     good = decide(curve, w, stability=verdict, scaled=scaled)
     cls = curve.classify()
@@ -78,25 +82,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "quasistable": cls.quasistable,
             "cycle_of_rationals": cls.cycle_of_rationals,
         },
-        "lambda": [jsonio.format_rational(x) for x in lam],
+        "lambda": [jsonio.format_scaled(x, q) for x in lam],
         "stability": _stability_obj(verdict),
         "goodness": _goodness_obj(good),
     }
     if curve.gamma <= SUBCURVE_TABLE_LIMIT:
-        table = []
-        for stat in curve.connected_subcurve_stats():
-            delta = Fraction(
-                delta_structure_scaled(*scaled, stat.members, stat.internal),
-                scaled.q,
-            )
-            table.append(
-                {
-                    "members": [curve.vertex_ids[k] for k in stat.members],
-                    "boundary": stat.boundary,
-                    "genus": stat.genus,
-                    "delta": jsonio.format_rational(delta),
-                }
-            )
+        ids = curve.vertex_ids
+        table = [
+            {
+                "members": [ids[k] for k in stat.members],
+                "boundary": stat.boundary,
+                "genus": stat.genus,
+                "delta": jsonio.format_scaled(
+                    delta_structure_scaled(lam, q, stat.members, stat.internal), q
+                ),
+            }
+            for stat in curve.connected_subcurve_stats()
+        ]
         report["subcurves"] = table
     else:
         report["subcurves"] = (
@@ -158,7 +160,7 @@ def _cmd_balanced(args: argparse.Namespace) -> int:
             for v in violations
         ],
     }
-    bridge = balanced_stability_bridge(curve, bundle)
+    bridge = balanced_stability_bridge(curve, bundle, strictly_balanced=is_strict)
     if bridge.applicable:
         obj["bridge"] = {
             "strictly_balanced": bridge.strictly_balanced,
@@ -230,7 +232,7 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search_conjecture(args: argparse.Namespace) -> int:
     cfg = CampaignConfig(
         max_vertices=args.max_vertices,
         max_edges=args.max_edges,
@@ -294,22 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_curve(p)
     add_polarization(p)
     add_obsolete_max_rank(p)
-    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("canonical", help="canonical polarization of a stable curve")
     add_curve(p)
-    p.set_defaults(func=_cmd_canonical)
 
     p = sub.add_parser("stability", help="w-stability of the structure sheaf")
     add_curve(p)
     add_polarization(p)
-    p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("goodness", help="goodness verdict for a polarization")
     add_curve(p)
     add_polarization(p)
     add_obsolete_max_rank(p)
-    p.set_defaults(func=_cmd_goodness)
 
     p = sub.add_parser(
         "conjecture", help="probe one instance of the stability/goodness equivalence"
@@ -317,18 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_curve(p)
     add_polarization(p)
     add_obsolete_max_rank(p)
-    p.set_defaults(func=_cmd_conjecture)
 
     p = sub.add_parser("balanced", help="balance checks for a multidegree")
     add_curve(p)
     p.add_argument("--degrees", required=True, help="comma-separated multidegree")
-    p.set_defaults(func=_cmd_balanced)
 
     p = sub.add_parser("paths", help="path system rooted at a base component")
     add_curve(p)
     add_polarization(p, required=False)
     p.add_argument("--base", type=int, required=True, help="base vertex id")
-    p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("polytope", help="weight windows stabilizing O_C")
     add_curve(p)
@@ -338,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=24,
         help="denominator bound for the witness grid search",
     )
-    p.set_defaults(func=_cmd_polytope)
 
     p = sub.add_parser(
         "search-conjecture", help="sweep curves and polarizations for discrepancies"
@@ -358,20 +352,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--csv", default=None, help="write the per-instance CSV here")
     p.add_argument("--summary", default=None, help="write the JSON summary here")
-    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("export-dot", help="deterministic DOT rendering")
     add_curve(p)
-    p.set_defaults(func=_cmd_export_dot)
 
     return parser
 
 
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up at every call, not kept in the parser: see the module
+    # docstring.
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except NodalPolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

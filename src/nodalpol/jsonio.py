@@ -1,10 +1,18 @@
 """JSON schemas for curves, polarizations, sheaf data and polytopes.
 
 Rationals travel as strings ``"p/q"`` with positive denominator and
-``gcd(p, q) = 1`` after normalization; integers drop the denominator.
+``gcd(p, q) = 1`` after normalization; integers drop the denominator.  One
+formatter, :func:`format_scaled`, writes them from an integer numerator
+over a positive denominator, which is how the integer kernels hold them.
+
 Serialization is canonical (sorted keys, fixed separators), so parsing and
-re-serializing any accepted document is idempotent.  A document the loaders
-cannot turn into a curve, polarization or sheaf datum raises
+re-serializing any accepted document is idempotent.  :func:`canonical_dumps`
+is a one-pass encoder whose output is byte-identical to
+``json.dumps(obj, sort_keys=True, indent=2)`` followed by a newline.  It
+accepts only dicts with string keys, lists, strings, integers, booleans
+and ``None``, and raises ``TypeError`` on anything else, floats included:
+every number the package prints is exact rational text.  A document the
+loaders cannot turn into a curve, polarization or sheaf datum raises
 ``SchemaError``, also when it is well formed but its values are not (a loop,
 a disconnected graph, weights off the simplex).
 """
@@ -14,6 +22,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 from pathlib import Path
 from typing import Any
 
@@ -45,15 +55,67 @@ def parse_rational(text: object) -> Fraction:
     return Fraction(num, den)
 
 
+def format_scaled(num: int, den: int) -> str:
+    """``num / den`` in lowest terms as ``"p"`` or ``"p/q"``; ``den > 0``."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return format_scaled(x.numerator, x.denominator)
+
+
+def _encode(x: Any, pad: str) -> str:
+    """``x`` as ``json.dumps(x, sort_keys=True, indent=2)`` writes it, on a
+    line that ``pad`` (a newline and the indentation) starts.  Strings and
+    integers inside a dict, and lists of plain integers, skip the
+    recursive call."""
+    t = type(x)
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key in sorted(x):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = x[key]
+            if type(value) is str:
+                items.append(_quote(key) + ": " + _quote(value))
+            elif type(value) is int:
+                items.append(_quote(key) + ": " + int.__repr__(value))
+            else:
+                items.append(_quote(key) + ": " + _encode(value, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if t is list:
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        for value in x:
+            if type(value) is not int:
+                items = [_encode(v, inner) for v in x]
+                break
+        else:
+            items = map(int.__repr__, x)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    raise TypeError(f"{t.__name__} is not serializable as exact JSON")
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _encode(obj, "\n") + "\n"
 
 
 def _loads(text: str) -> Any:

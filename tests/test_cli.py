@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from pathlib import Path
 
 import pytest
 
+import nodalpol.balanced
+import nodalpol.cli
 from nodalpol.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -348,3 +351,156 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+# sha256 of stdout and the exit code of each command on the fixtures: the
+# exact bytes the serializer writes, as ``json.dumps(sort_keys=True,
+# indent=2)`` writes them.  File arguments name files in ``fixtures/``.
+GOLDEN_OUTPUTS = [
+    (("analyze", "--curve", "multigraph5_mixed.json", "--polarization", "w_multigraph5.json"), 0, "695d77fecdd7e6a6ab94413fb07cf0052e4e76b49005f321f0ce0c0706b7e34a"),
+    (("analyze", "--curve", "chain13_elliptic.json", "--polarization", "w_thirteenths.json"), 0, "8b389f365f09723fbe2b2a6ff799f18e0e43b4f0b137eb15c3643130bc1fd391"),
+    (("analyze", "--curve", "two_genus2_one_node.json", "--polarization", "w_half.json"), 0, "bc16f4f82b25e70d3a4a4bc400cb207a8ffc4928a0b631b44e13b6d3a9bf9404"),
+    (("analyze", "--curve", "two_genus2_one_node.json", "--polarization", "w_one_sixth.json"), 1, "f634f957da1bc42e90bbf1879a78a49f13b5158d0b9ed9f5fe1a8f2850734f71"),
+    (("analyze", "--curve", "elliptic_plus_rational.json", "--polarization", "w_half.json"), 1, "2b6ad58b00b86e237d74e90a93ae96a2e0ea6b789c128e1f7acca0967b4fdcc0"),
+    (("analyze", "--curve", "elliptic_plus_rational.json", "--polarization", "w_one_sixth.json"), 1, "2b6ad58b00b86e237d74e90a93ae96a2e0ea6b789c128e1f7acca0967b4fdcc0"),
+    (("analyze", "--curve", "banana3_rational.json", "--polarization", "w_half.json"), 0, "a6962c7000fa5a99ce9be6c61e9ece58d9fe61400f41e3c9db189f538f675e52"),
+    (("analyze", "--curve", "banana3_rational.json", "--polarization", "w_one_sixth.json"), 0, "4c738f4e6fbd12537ebbb7677326bdf47de8370e1606de2bd36f80a4c0c954cc"),
+    (("analyze", "--curve", "triangle_rational.json", "--polarization", "w_thirds.json"), 0, "f802d4a9c6b10aa5ce40fefab31f8f40f959afac417e0b5762324ca7f48bee6c"),
+    (("stability", "--curve", "multigraph5_mixed.json", "--polarization", "w_multigraph5.json"), 0, "dd9986f39a4f9dbd0b447764a2bb0afcf9a66db78e16349391a2a1f24d9c28c7"),
+    (("stability", "--curve", "chain13_elliptic.json", "--polarization", "w_thirteenths.json"), 0, "dd9986f39a4f9dbd0b447764a2bb0afcf9a66db78e16349391a2a1f24d9c28c7"),
+    (("stability", "--curve", "two_genus2_one_node.json", "--polarization", "w_half.json"), 0, "dd9986f39a4f9dbd0b447764a2bb0afcf9a66db78e16349391a2a1f24d9c28c7"),
+    (("stability", "--curve", "two_genus2_one_node.json", "--polarization", "w_one_sixth.json"), 1, "6055fd13ea688e81c839bc989ba4cf6bd6807bc352d8467354831cde88d2dd8d"),
+    (("stability", "--curve", "elliptic_plus_rational.json", "--polarization", "w_half.json"), 1, "56296f12d7d5af9e5d146be6ee5ab51d6c7f098e1e6e4cca10e02a89bbcc3a14"),
+    (("stability", "--curve", "elliptic_plus_rational.json", "--polarization", "w_one_sixth.json"), 1, "56296f12d7d5af9e5d146be6ee5ab51d6c7f098e1e6e4cca10e02a89bbcc3a14"),
+    (("stability", "--curve", "banana3_rational.json", "--polarization", "w_half.json"), 0, "dd9986f39a4f9dbd0b447764a2bb0afcf9a66db78e16349391a2a1f24d9c28c7"),
+    (("stability", "--curve", "banana3_rational.json", "--polarization", "w_one_sixth.json"), 0, "dd9986f39a4f9dbd0b447764a2bb0afcf9a66db78e16349391a2a1f24d9c28c7"),
+    (("stability", "--curve", "triangle_rational.json", "--polarization", "w_thirds.json"), 0, "dd9986f39a4f9dbd0b447764a2bb0afcf9a66db78e16349391a2a1f24d9c28c7"),
+    (("goodness", "--curve", "multigraph5_mixed.json", "--polarization", "w_multigraph5.json"), 0, "a86277f2003f60b1b6ecbfd2725d791f3278e515a6e3ba025e1db6a5464fe529"),
+    (("goodness", "--curve", "chain13_elliptic.json", "--polarization", "w_thirteenths.json"), 0, "d9002ab34c4a7c1d9449c11a55b38f05eded0f594c1fa523c4fca59d56230448"),
+    (("goodness", "--curve", "two_genus2_one_node.json", "--polarization", "w_half.json"), 0, "d9002ab34c4a7c1d9449c11a55b38f05eded0f594c1fa523c4fca59d56230448"),
+    (("goodness", "--curve", "two_genus2_one_node.json", "--polarization", "w_one_sixth.json"), 1, "f5d4c51a1b4fef9ee0afdfec0430ebf4e5ff72b6b368efe97a8bbe6637351fcd"),
+    (("goodness", "--curve", "elliptic_plus_rational.json", "--polarization", "w_half.json"), 1, "bc56d21af2ddd7ca9de4f43f7d6ec1c4553e215336d14edc3ca7211f88c5156b"),
+    (("goodness", "--curve", "elliptic_plus_rational.json", "--polarization", "w_one_sixth.json"), 1, "bc56d21af2ddd7ca9de4f43f7d6ec1c4553e215336d14edc3ca7211f88c5156b"),
+    (("goodness", "--curve", "banana3_rational.json", "--polarization", "w_half.json"), 0, "d9002ab34c4a7c1d9449c11a55b38f05eded0f594c1fa523c4fca59d56230448"),
+    (("goodness", "--curve", "banana3_rational.json", "--polarization", "w_one_sixth.json"), 0, "d9002ab34c4a7c1d9449c11a55b38f05eded0f594c1fa523c4fca59d56230448"),
+    (("goodness", "--curve", "triangle_rational.json", "--polarization", "w_thirds.json"), 0, "d9002ab34c4a7c1d9449c11a55b38f05eded0f594c1fa523c4fca59d56230448"),
+    (("conjecture", "--curve", "multigraph5_mixed.json", "--polarization", "w_multigraph5.json"), 0, "a8f67f043f6fd00af5a8e61cc4d354464a611ac8f211001d179521655ad0c68d"),
+    (("conjecture", "--curve", "chain13_elliptic.json", "--polarization", "w_thirteenths.json"), 0, "ab8c6655fa885a2e3f3f8ef6fff6cdda4cda0b68aa0a6050279f46b598e53cf9"),
+    (("conjecture", "--curve", "two_genus2_one_node.json", "--polarization", "w_half.json"), 0, "ab8c6655fa885a2e3f3f8ef6fff6cdda4cda0b68aa0a6050279f46b598e53cf9"),
+    (("conjecture", "--curve", "two_genus2_one_node.json", "--polarization", "w_one_sixth.json"), 0, "59eb912f76f04e98bad477c1b7fead36ba0aeeffd09867d2e659499ad394a593"),
+    (("conjecture", "--curve", "elliptic_plus_rational.json", "--polarization", "w_half.json"), 0, "376dbcbb179394d22de5d741f6f4149789b9868fb2166c8879dfb145257a2e48"),
+    (("conjecture", "--curve", "elliptic_plus_rational.json", "--polarization", "w_one_sixth.json"), 0, "376dbcbb179394d22de5d741f6f4149789b9868fb2166c8879dfb145257a2e48"),
+    (("conjecture", "--curve", "banana3_rational.json", "--polarization", "w_half.json"), 0, "ab8c6655fa885a2e3f3f8ef6fff6cdda4cda0b68aa0a6050279f46b598e53cf9"),
+    (("conjecture", "--curve", "banana3_rational.json", "--polarization", "w_one_sixth.json"), 0, "ab8c6655fa885a2e3f3f8ef6fff6cdda4cda0b68aa0a6050279f46b598e53cf9"),
+    (("conjecture", "--curve", "triangle_rational.json", "--polarization", "w_thirds.json"), 0, "ab8c6655fa885a2e3f3f8ef6fff6cdda4cda0b68aa0a6050279f46b598e53cf9"),
+    (("canonical", "--curve", "multigraph5_mixed.json"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("polytope", "--curve", "multigraph5_mixed.json"), 0, "441000e13fc7416c914a3a60be2bab0aee07fa914a00f8eba4b5547c2f1dadc8"),
+    (("canonical", "--curve", "two_genus2_one_node.json"), 0, "933eee02de0c56d5b885eabdf2276cb81511b9499945e2f9f53ca7b02ee3d059"),
+    (("polytope", "--curve", "two_genus2_one_node.json"), 0, "111e35e2cdd6374c52de0cdbbf7e62623575bd960ebd9cbeab473d6661234670"),
+    (("canonical", "--curve", "elliptic_plus_rational.json"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("polytope", "--curve", "elliptic_plus_rational.json"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("canonical", "--curve", "banana3_rational.json"), 0, "933eee02de0c56d5b885eabdf2276cb81511b9499945e2f9f53ca7b02ee3d059"),
+    (("polytope", "--curve", "banana3_rational.json"), 0, "285b3e7e9c86c3de8675bcd4a6e360fda96558fe894fdf99447aef47b63a6e9a"),
+    (("canonical", "--curve", "triangle_rational.json"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("polytope", "--curve", "triangle_rational.json"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("polytope", "--curve", "triangle_rational.json", "--denominator", "6"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("paths", "--curve", "multigraph5_mixed.json", "--base", "2"), 0, "149188f6ddd7b9b600e463e4d50898f26c5622de37d6826e8d07ad03d5fce8de"),
+    (("paths", "--curve", "multigraph5_mixed.json", "--base", "2", "--polarization", "w_multigraph5.json"), 0, "431aa6359e658f7eb6ecd39b7ada84c3cf0722865fedf1b5466fc67550d79864"),
+    (("paths", "--curve", "two_genus2_one_node.json", "--base", "2"), 0, "b446290377b45627e9c8b0f331333d12e6ec28407c0c07177e73893056c6756c"),
+    (("paths", "--curve", "two_genus2_one_node.json", "--base", "2", "--polarization", "w_half.json"), 0, "bd702a0ce9376b91e8768e2b5e15d6ae6560b62ab0123c5a76e4f1d63b11d4b4"),
+    (("paths", "--curve", "two_genus2_one_node.json", "--base", "2", "--polarization", "w_one_sixth.json"), 0, "663f827583292231f9ba62c652d2963fc78097822f6beaa5e49c71fe27734031"),
+    (("paths", "--curve", "elliptic_plus_rational.json", "--base", "2"), 0, "b446290377b45627e9c8b0f331333d12e6ec28407c0c07177e73893056c6756c"),
+    (("paths", "--curve", "elliptic_plus_rational.json", "--base", "2", "--polarization", "w_half.json"), 0, "3f3d083c6cc1a7f3384cba024e364538efd52c3e38689d2c81dd84bf12bb0d96"),
+    (("paths", "--curve", "elliptic_plus_rational.json", "--base", "2", "--polarization", "w_one_sixth.json"), 0, "3f3d083c6cc1a7f3384cba024e364538efd52c3e38689d2c81dd84bf12bb0d96"),
+    (("paths", "--curve", "banana3_rational.json", "--base", "2"), 0, "f1fbcb3e874449bad525fa4c8a5e4d64199cd14405eee3e3ea9d37cc364ccd8f"),
+    (("paths", "--curve", "banana3_rational.json", "--base", "2", "--polarization", "w_half.json"), 0, "cd12f3b5182f27088c54ebd03984fee619d1daeb57eacc21beb48ab4150ef666"),
+    (("paths", "--curve", "banana3_rational.json", "--base", "2", "--polarization", "w_one_sixth.json"), 0, "cb3cb7a8b761eba6e50e368de9b6874f53dc0d4f3c20499f76f33b66908b0e83"),
+    (("paths", "--curve", "triangle_rational.json", "--base", "2"), 0, "0b65de0147c72892742d5d2fea0739518df96ab974a066ea959fd21108b21a55"),
+    (("paths", "--curve", "triangle_rational.json", "--base", "2", "--polarization", "w_thirds.json"), 0, "79070d13d5b705ccd40d4da9eb304cbd97310a64fdf559b213f9b994b5aac39e"),
+    (("paths", "--curve", "triangle_rational.json", "--base", "3"), 0, "e02ef8f0391f3a46c95fbfd0d6b539ef82d94c5702382745ebb1962260246896"),
+    (("paths", "--curve", "triangle_rational.json", "--base", "3", "--polarization", "w_thirds.json"), 0, "4b283893b967dbcfdd2b7e4eb7448a3bcd07c8d5931d5a70e85a4f31c7ebaaf7"),
+    (("balanced", "--curve", "two_genus2_one_node.json", "--degrees", "1,2"), 0, "2dfb491f3c07c54717a849019e8d7a411cfb04dfadcaafec2fb318759e214c2b"),
+    (("balanced", "--curve", "two_genus2_one_node.json", "--degrees", "2,1"), 0, "2dfb491f3c07c54717a849019e8d7a411cfb04dfadcaafec2fb318759e214c2b"),
+    (("balanced", "--curve", "two_genus2_one_node.json", "--degrees", "1,1"), 0, "c77fccaad6827951f8a4f86d9146b2e88ffa455327ce4393c90a320d8883bbc8"),
+    (("balanced", "--curve", "two_genus2_one_node.json", "--degrees", "3,3"), 0, "3b47955832f6d34bcd3e67d09342b67fceb9506cca9dd4001fcb6dd0ee83916e"),
+    (("balanced", "--curve", "banana3_rational.json", "--degrees", "1,1"), 0, "8d3e4f04f380006f8854ba359f9598b355fc7a05ef3785ab5d9dd9771f80bef0"),
+    (("balanced", "--curve", "banana3_rational.json", "--degrees", "0,1"), 0, "c07e77753f21ded6afde8558c1f7938055fdd4888f69706533f3b1622632c78b"),
+    (("balanced", "--curve", "multigraph5_mixed.json", "--degrees", "1,1,1,1,1"), 0, "f45094144102029c3721243f55771fb90473621af6f61d8819c737a0e7df429c"),
+    (("balanced", "--curve", "multigraph5_mixed.json", "--degrees", "1,1,1"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("balanced", "--curve", "two_genus2_one_node.json", "--degrees", "0,3"), 1, "03e631ed3ccf80b0978d586c02851fe688e300ba4671ea8ae33619cddef26f59"),
+    (("balanced", "--curve", "multigraph5_mixed.json", "--degrees", "0,0,0,3,0"), 1, "2606cea72acd05075ffddcbe80c2e13120c1327843d76db129386dbbdeb421f3"),
+]
+
+
+def _argv(case: tuple[str, ...]) -> list[str]:
+    return [fixture(a) if a.endswith(".json") else a for a in case]
+
+
+def _stdout(capsys, case: tuple[str, ...]) -> tuple[int, str]:
+    code = main(_argv(case))
+    return code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case, code, sha", GOLDEN_OUTPUTS, ids=[" ".join(c[0]) for c in GOLDEN_OUTPUTS]
+)
+def test_golden_stdout(capsys, case, code, sha):
+    assert _stdout(capsys, case) == (code, sha)
+
+
+def test_balanced_scans_subsets_once(capsys, monkeypatch):
+    # The bridge reuses the strict verdict of the balance report.
+    calls = []
+    scan = nodalpol.balanced._balance_scan
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(nodalpol.balanced, "_balance_scan", counted)
+    case = ("balanced", "--curve", "two_genus2_one_node.json", "--degrees", "1,2")
+    expected = next((c, h) for k, c, h in GOLDEN_OUTPUTS if k == case)
+    assert _stdout(capsys, case) == expected
+    assert len(calls) == 1
+
+
+class TestParserReuse:
+    """``main`` keeps one parser per process; that must change nothing."""
+
+    SEQUENCE = [
+        ("analyze", "--curve", "multigraph5_mixed.json", "--polarization", "w_multigraph5.json"),
+        ("balanced", "--curve", "two_genus2_one_node.json", "--degrees", "1,2,3"),
+        ("analyze", "--curve", "two_genus2_one_node.json", "--polarization", "w_one_sixth.json"),
+        ("goodness", "--curve", "elliptic_plus_rational.json", "--polarization", "w_half.json"),
+    ]
+
+    def test_sequence_matches_fresh_parsers(self, capsys):
+        reused = [_stdout(capsys, case) for case in self.SEQUENCE]
+        fresh = []
+        for case in self.SEQUENCE:
+            nodalpol.cli._parser.cache_clear()
+            fresh.append(_stdout(capsys, case))
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0, 2, 1, 1]
+
+    def test_parser_is_built_once(self, capsys):
+        main(_argv(self.SEQUENCE[0]))
+        parser = nodalpol.cli._parser()
+        main(_argv(self.SEQUENCE[2]))
+        assert nodalpol.cli._parser() is parser
+        capsys.readouterr()
+
+    def test_replaced_command_is_called(self, capsys, monkeypatch):
+        case = self.SEQUENCE[0]
+        main(_argv(case))
+        capsys.readouterr()
+        seen = []
+
+        def spy(args):
+            seen.append(args.command)
+            return 7
+
+        monkeypatch.setattr(nodalpol.cli, "_cmd_analyze", spy)
+        assert main(_argv(case)) == 7
+        assert seen == ["analyze"]
+        assert capsys.readouterr().out == ""

@@ -14,6 +14,7 @@ from nodalpol.jsonio import (
     curve_from_obj,
     curve_to_obj,
     format_rational,
+    format_scaled,
     parse_rational,
     polarization_from_obj,
     polarization_to_obj,
@@ -188,6 +189,93 @@ class TestSheafSchema:
 def test_canonical_dumps_is_stable():
     obj = {"b": 1, "a": [1, 2]}
     assert canonical_dumps(obj) == canonical_dumps({"a": [1, 2], "b": 1})
+
+
+# Strings that need escaping: quotes, backslashes, control characters,
+# non-ASCII (two-byte, three-byte, astral and a lone surrogate).
+_AWKWARD = st.text(
+    alphabet=st.sampled_from('"\\/\x00\x01\x08\t\n\x0c\r\x1f\x7f aZ\u00e9\u2028\u4e2d\U0001f600\ud800'),
+    max_size=8,
+)
+
+exact_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers()
+    | st.integers(2**64, 2**200)
+    | st.integers(-(2**200), -(2**64))
+    | st.text(max_size=6)
+    | _AWKWARD,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(st.integers() | st.booleans(), max_size=5)
+    | st.dictionaries(st.text(max_size=3) | _AWKWARD, children, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestCanonicalDumps:
+    """The one-pass encoder against ``json.dumps`` as the oracle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(exact_json_values)
+    def test_matches_json_dumps(self, value):
+        assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [{}], "d": [[]]},
+            [[1, 2], [3, [4, [5]]], {"z": {"y": {"x": []}}}],
+            [1, True],
+            [True, 1, False, None, 0],
+            [-(2**70), 2**64, -1, 0],
+            {"\u00e9": "\x00\"\\", "\n": "\U0001f600", "": ""},
+            "top-level string",
+            -12,
+            None,
+        ],
+    )
+    def test_cases(self, value):
+        assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_bool_in_int_list_prints_true(self):
+        assert canonical_dumps([1, True]) == "[\n  1,\n  true\n]\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            1.5,
+            {"a": [0.5]},
+            [1, 2.0],
+            {1, 2},
+            {"a": {1, 2}},
+            {1: "a"},
+            {"a": {None: 1}},
+            (1, 2),
+            F(1, 2),
+        ],
+        ids=["float", "nested-float", "float-in-int-list", "set", "nested-set",
+             "int-key", "none-key", "tuple", "fraction"],
+    )
+    def test_rejects_non_json_types(self, value):
+        with pytest.raises(TypeError):
+            canonical_dumps(value)
+
+
+class TestFormatScaled:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(-(10**30), 10**30), st.integers(1, 10**20))
+    def test_matches_format_rational(self, num, den):
+        assert format_scaled(num, den) == format_rational(F(num, den))
+
+    def test_cases(self):
+        assert format_scaled(0, 7) == "0"
+        assert format_scaled(6, 3) == "2"
+        assert format_scaled(-6, 4) == "-3/2"
+        assert format_scaled(5, 1) == "5"
 
 
 # -- fuzzing ----------------------------------------------------------------

@@ -244,6 +244,16 @@ class TestRunCampaign:
         assert report.instances_checked == instances
         assert report.csv_sha256 == sha
 
+    def test_golden_summary(self, tmp_path):
+        # The exhaustive golden campaign's summary file, byte for byte.
+        bounds = dict(max_vertices=3, max_edges=4, weight_denominator_bound=6, max_rank=9)
+        run_campaign(cfg(max_genus=1, seed=2026, **bounds), summary_path=tmp_path / "s.json")
+        data = (tmp_path / "s.json").read_bytes()
+        assert (
+            hashlib.sha256(data).hexdigest()
+            == "fe653a4f44e56adbe281cd3e467a7229d286a04c6467adc10510557801054576"
+        )
+
     def test_curve_hash_stable(self):
         c = CurveGraph.from_genera([2, 2], [(1, 2)])
         again = CurveGraph([(2, 2), (1, 2)], [(1, (2, 1))])
