@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-rank",
         type=int,
         required=True,
-        help="caps the ranks of the identity suite's random data at min(3, this)",
+        help="recorded in the summary; no longer has an effect",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")

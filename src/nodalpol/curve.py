@@ -76,6 +76,8 @@ class CurveGraph:
         "_vertex_degrees",
         "_connected_stats",
         "_path_systems",
+        "_simple_graph",
+        "_proofs",
         "_key",
     )
 
@@ -147,6 +149,11 @@ class CurveGraph:
 
         self._connected_stats: tuple[SubcurveStat, ...] | None = None
         self._path_systems: dict[int, object] = {}
+        # Base-independent part of every path system (``pathsys``).
+        self._simple_graph: object | None = None
+        # Self-check proofs memoized per curve, keyed by what they prove
+        # (``sheafdata.kronecker_point``, ``search``, ``goodness``).
+        self._proofs: dict[object, object] = {}
         self._key = (self.vertex_ids, self.genera, self.edge_ids, self.edge_ends)
 
     @classmethod
@@ -330,7 +337,13 @@ class CurveGraph:
             grown.pop()  # the full mask, the largest of all
             stats = []
             for mask, internal, dsum, gsum in grown:
-                members = tuple(k for k in range(gamma) if mask >> k & 1)
+                bits = []
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    bits.append(low.bit_length() - 1)
+                    rest ^= low
+                members = tuple(bits)
                 stats.append(
                     SubcurveStat(
                         mask,

@@ -6,8 +6,11 @@ possible:
 
 * ``NOT_GOOD`` -- a concrete witness datum with negative defect, or zero
   defect while not locally free, built constructively from a subcurve on
-  which O_C fails to be w-stable and re-checked through all three defect
-  formulas.
+  which O_C fails to be w-stable.  Its defect by the lambda formula must
+  equal the failing value of the stability verdict (or the boundary size
+  minus it, for the complement), and its three defect formulas are proved
+  equal once per (curve, witness subcurve) at the curve's Kronecker point
+  (``sheafdata.kronecker_point``), which covers every polarization.
 * ``GOOD_CERTIFIED`` -- O_C is w-stable, with one of two certificates.
   ``path-window`` names a base vertex for which every non-empty far-side
   subcurve satisfies its two-sided defect window; the decomposition
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .curve import CurveGraph
+from .curve import CurveGraph, Subcurve
 from .pathsys import aj_defects_scaled, build_path_system, delta_decomposed_scaled
 from .polarization import (
     Polarization,
@@ -70,6 +73,7 @@ from .sheafdata import (
     delta_general_scaled,
     delta_residual_scaled,
     is_locally_free,
+    kronecker_point,
     validate_datum,
 )
 from .stability import StabilityVerdict, oc_stability
@@ -147,43 +151,53 @@ def _witness_from_failing_subcurve(
 
     If the failing subcurve B has non-positive defect, the pushforward of
     O_B is the witness; otherwise the defect is at least the boundary size
-    and the complement's structure sheaf has non-positive defect instead.
+    and the complement's structure sheaf has non-positive defect
+    ``delta_B - delta(O_B)`` instead.  The witness's defect by the lambda
+    formula must equal that value, which ties the integers of
+    :func:`oc_stability` to the witness.
     """
     b = verdict.failing_subcurve
     assert b is not None and verdict.failing_value is not None
     if verdict.failing_value <= 0:
-        chosen = b
+        mask, expected = b.mask, verdict.failing_value
     else:
-        chosen = b.complement()
-    datum = SheafDatum.subcurve_sheaf(chosen)
+        mask = curve.full_mask ^ b.mask
+        expected = b.boundary_size - verdict.failing_value
+    datum = _check_witness(curve, mask)
     lam, q = scaled
     value = delta_general_scaled(curve, lam, q, datum)
+    if value * expected.denominator != expected.numerator * q:
+        raise AssertionError("witness defect disagrees with the stability verdict")
     if value > 0 or (value == 0 and is_locally_free(curve, datum)):
         raise AssertionError("constructive witness failed its defect bound")
-    return datum, Fraction(value, q)
+    return datum, expected
 
 
-def _check_witness(
-    curve: CurveGraph,
-    w: Polarization,
-    datum: SheafDatum,
-    value: Fraction,
-    scaled: ScaledLambda,
-) -> None:
-    """Re-derive a witness's defect through all three formulas."""
-    validate_datum(curve, datum)
-    lam, q = scaled
-    # Each kernel returns x = scale * delta; x / scale == num / den is
-    # checked by cross-multiplying.
-    num, den = value.numerator, value.denominator
-    if delta_general_scaled(curve, lam, q, datum) * den != num * q:
-        raise AssertionError("witness defect disagrees with the lambda formula")
-    if delta_residual_scaled(curve, lam, q, datum) * den != num * 2 * q:
-        raise AssertionError("witness defect disagrees with the residual formula")
-    ps = build_path_system(curve, curve.vertex_ids[0])
-    aj = aj_defects_scaled(ps, lam, q)
-    if delta_decomposed_scaled(ps, q, aj, datum) * den != num * 2 * q:
-        raise AssertionError("witness defect disagrees with the path formula")
+def _check_witness(curve: CurveGraph, mask: int) -> SheafDatum:
+    """The witness datum O_B of the subcurve ``mask``, validated and proved
+    once per (curve, mask) and memoized on the curve.
+
+    O_B is fixed, so each of its three defect formulas is linear in
+    ``(lambda, q)``.  They are compared at the curve's Kronecker lambda on
+    the hyperplane ``sum(lambda) = q * delta`` (``sheafdata.kronecker_point``),
+    with the path formula at the first base, so one comparison proves
+    them equal under every polarization of the curve.
+    """
+    key = ("witness", mask)
+    memo = curve._proofs
+    datum = memo.get(key)
+    if datum is None:
+        datum = SheafDatum.subcurve_sheaf(Subcurve(curve, mask))
+        validate_datum(curve, datum)
+        _, lam, q = kronecker_point(curve)
+        d1 = 2 * delta_general_scaled(curve, lam, q, datum)
+        if delta_residual_scaled(curve, lam, q, datum) != d1:
+            raise AssertionError("witness defect disagrees with the residual formula")
+        ps = build_path_system(curve, curve.vertex_ids[0])
+        if delta_decomposed_scaled(ps, q, aj_defects_scaled(ps, lam, q), datum) != d1:
+            raise AssertionError("witness defect disagrees with the path formula")
+        memo[key] = datum
+    return datum  # type: ignore[return-value]
 
 
 def decide(
@@ -206,7 +220,6 @@ def decide(
         stability = oc_stability(curve, w, scaled)
     if not stability.stable:
         datum, value = _witness_from_failing_subcurve(curve, w, stability, scaled)
-        _check_witness(curve, w, datum, value, scaled)
         return GoodnessVerdict(
             status=GoodnessStatus.NOT_GOOD, witness=datum, witness_delta=value
         )
@@ -222,12 +235,14 @@ def decide(
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Joint stability/goodness outcome for one polarized curve."""
+    """Joint stability/goodness outcome for one polarized curve, with the
+    pair's :func:`scaled_lambda` for callers that need it next."""
 
     stability: StabilityVerdict
     goodness: GoodnessVerdict
     discrepancy: bool
     description: str
+    scaled: ScaledLambda
 
 
 def conjecture_probe(curve: CurveGraph, w: Polarization) -> ProbeReport:
@@ -247,6 +262,7 @@ def conjecture_probe(curve: CurveGraph, w: Polarization) -> ProbeReport:
             verdict,
             True,
             "DISCREPANCY: stable structure sheaf but a witness against goodness",
+            scaled,
         )
     if not stability.stable and not not_good:
         return ProbeReport(
@@ -254,7 +270,8 @@ def conjecture_probe(curve: CurveGraph, w: Polarization) -> ProbeReport:
             verdict,
             True,
             "DISCREPANCY: unstable structure sheaf without a goodness witness",
+            scaled,
         )
     return ProbeReport(
-        stability, verdict, False, f"CONSISTENT ({verdict.status.value})"
+        stability, verdict, False, f"CONSISTENT ({verdict.status.value})", scaled
     )

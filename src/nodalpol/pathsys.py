@@ -31,7 +31,6 @@ every base.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -56,37 +55,92 @@ class AjGeometry(NamedTuple):
 class PathSystem:
     """Marking, shortest-path tree and edge orientation for one base choice.
 
-    ``parent`` maps every non-base vertex id to ``(parent id, tree edge
-    id)``; ``orientation`` maps each edge id to its ``(predecessor,
-    successor)`` vertex ids.  Instances are immutable and cached per curve.
+    Only index data are stored: vertices and edges are named by their
+    position in the curve's id order.  ``edge_plan[j]`` is ``(predecessor
+    index, successor index, position in aj_geometry)`` of edge j, the
+    position being -1 for edges that are not tree edges; ``path_edges[v]``
+    lists the edge indices on the tree path from vertex index v to the
+    base, nearest edge first; ``aj_geometry`` has one entry per marked edge,
+    ascending by id.  The kernels read these directly.
 
-    The kernels read the same data by position: ``edge_plan[j]`` is
-    ``(predecessor index, successor index, position in aj_geometry)`` of
-    edge j, the position being -1 off the tree, and ``path_edges[v]``
-    lists the edge indices on the path from vertex index v to the base.
+    ``marking``, ``tree_edges``, ``parent``, ``depth`` and ``orientation``
+    are views by vertex and edge id, computed on each access from the index
+    data: ``parent`` maps every non-base vertex id to ``(parent id, tree
+    edge id)``, ``depth`` every vertex id to its tree depth, and
+    ``orientation`` each edge id to its ``(predecessor, successor)`` vertex
+    ids.  Instances are immutable and cached per curve.
     """
 
     curve: CurveGraph
     base: int
-    marking: frozenset[int]
-    tree_edges: frozenset[int]
-    parent: dict[int, tuple[int, int]]
-    depth: dict[int, int]
-    orientation: dict[int, tuple[int, int]]
     aj_geometry: tuple[AjGeometry, ...]
     edge_plan: tuple[tuple[int, int, int], ...]
     path_edges: tuple[tuple[int, ...], ...]
 
+    @property
+    def marking(self) -> frozenset[int]:
+        return frozenset(geo.edge_id for geo in self.aj_geometry)
+
+    @property
+    def tree_edges(self) -> frozenset[int]:
+        return frozenset(geo.edge_id for geo in self.aj_geometry if geo.mask)
+
+    @property
+    def parent(self) -> dict[int, tuple[int, int]]:
+        ids = self.curve.vertex_ids
+        eids = self.curve.edge_ids
+        # A tree edge's successor is the shallower end: the parent.
+        return {
+            ids[v]: (ids[self.edge_plan[path[0]][1]], eids[path[0]])
+            for v, path in enumerate(self.path_edges)
+            if path
+        }
+
+    @property
+    def depth(self) -> dict[int, int]:
+        ids = self.curve.vertex_ids
+        return {ids[v]: len(path) for v, path in enumerate(self.path_edges)}
+
+    @property
+    def orientation(self) -> dict[int, tuple[int, int]]:
+        ids = self.curve.vertex_ids
+        eids = self.curve.edge_ids
+        return {
+            eids[j]: (ids[pred], ids[succ])
+            for j, (pred, succ, _) in enumerate(self.edge_plan)
+        }
+
     def path_edge_ids(self, vertex_id: int) -> tuple[int, ...]:
         """Tree edges on the minimal path from a vertex to the base."""
-        self.curve.index_of(vertex_id)
-        out = []
-        v = vertex_id
-        while v != self.base:
-            p, eid = self.parent[v]
-            out.append(eid)
-            v = p
-        return tuple(out)
+        eids = self.curve.edge_ids
+        return tuple(eids[j] for j in self.path_edges[self.curve.index_of(vertex_id)])
+
+
+def _simple_graph(
+    curve: CurveGraph,
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The base-independent part of every path system, once per curve.
+
+    Returns the marked edge indices, ascending (the lowest edge id of each
+    parallel class), and per vertex index its neighbours in the simple
+    graph they span as ``(vertex index, edge index)``, ascending by vertex.
+    """
+    found = curve._simple_graph
+    if found is None:
+        class_rep: dict[tuple[int, int], int] = {}
+        for j, pair in enumerate(curve.edge_index_pairs()):
+            class_rep.setdefault(pair, j)
+        neighbours: list[list[tuple[int, int]]] = [[] for _ in range(curve.gamma)]
+        # Pairs are (smaller, larger) and sorted, so each list comes out
+        # ascending: first the smaller neighbours, then the larger ones.
+        for (ia, ib), j in sorted(class_rep.items()):
+            neighbours[ia].append((ib, j))
+            neighbours[ib].append((ia, j))
+        found = curve._simple_graph = (
+            tuple(sorted(class_rep.values())),
+            tuple(tuple(row) for row in neighbours),
+        )
+    return found  # type: ignore[return-value]
 
 
 def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
@@ -97,129 +151,96 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
     base_idx = curve.index_of(base)
     gamma = curve.gamma
     full = curve.full_mask
+    marked, neighbours = _simple_graph(curve)
 
-    # One marked edge per parallel class: the lowest edge id, i.e. the
-    # first edge met in id order.
-    class_rep: dict[tuple[int, int], int] = {}
-    for j, pair in enumerate(curve.edge_index_pairs()):
-        class_rep.setdefault(pair, j)
-    marked = set(class_rep.values())
-
-    # Breadth-first depths on the simple graph (vertices, marking).
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(gamma)]
-    for (ia, ib), j in sorted(class_rep.items()):
-        neighbors[ia].append((ib, j))
-        neighbors[ib].append((ia, j))
-    depth_idx = [-1] * gamma
-    depth_idx[base_idx] = 0
-    queue = deque([base_idx])
-    while queue:
-        v = queue.popleft()
-        for u, _ in neighbors[v]:
-            if depth_idx[u] < 0:
-                depth_idx[u] = depth_idx[v] + 1
-                queue.append(u)
+    # Breadth-first depths on the simple graph (vertices, marking); the
+    # list of reached vertices is the queue, in non-decreasing depth.
+    depth = [-1] * gamma
+    depth[base_idx] = 0
+    order = [base_idx]
+    for v in order:
+        below = depth[v] + 1
+        for u, _ in neighbours[v]:
+            if depth[u] < 0:
+                depth[u] = below
+                order.append(u)
+    if len(order) != gamma:
+        raise AssertionError("the marked simple graph is disconnected")
 
     # Parent = smallest-id neighbour one level up; this makes every tree
-    # path minimal and suffix-closed.
-    parent_idx: dict[int, tuple[int, int]] = {}
-    tree_edge_indices: set[int] = set()
-    for v in range(gamma):
-        if v == base_idx:
+    # path minimal and suffix-closed.  Vertex indices follow id order.
+    parent = [(-1, -1)] * gamma
+    child_of: dict[int, int] = {}
+    for v in order[1:]:
+        up = depth[v] - 1
+        for u, j in neighbours[v]:
+            if depth[u] == up:
+                parent[v] = (u, j)
+                child_of[j] = v
+                break
+
+    # Far-side subtree of each tree edge, accumulated bottom-up.
+    subtree = [1 << v for v in range(gamma)]
+    for v in reversed(order[1:]):
+        subtree[parent[v][0]] |= subtree[v]
+
+    eids = curve.edge_ids
+    geometry = []
+    geometry_pos: dict[int, int] = {}
+    for j in marked:
+        v = child_of.get(j)
+        if v is None:
+            geometry.append(AjGeometry(eids[j], 0, (), 0, 0))
             continue
-        best: tuple[int, int] | None = None
-        for u, j in neighbors[v]:
-            if depth_idx[u] == depth_idx[v] - 1 and (best is None or u < best[0]):
-                best = (u, j)
-        assert best is not None
-        parent_idx[v] = best
-        tree_edge_indices.add(best[1])
+        mask = subtree[v]
+        if not curve.mask_is_connected(mask):
+            raise AssertionError("a far-side subcurve is disconnected")
+        if mask != full and not curve.mask_is_connected(full ^ mask):
+            raise AssertionError("a far-side complement is disconnected")
+        members = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        internal, boundary = curve.subset_counts(mask)
+        geometry_pos[j] = len(geometry)
+        geometry.append(AjGeometry(eids[j], mask, tuple(members), internal, boundary))
 
     # Orientation: the deeper endpoint precedes; equal depth breaks towards
     # the smaller id.  Parallel edges share endpoints, hence the class
     # orientation automatically.
-    orientation_idx: list[tuple[int, int]] = []
-    for ia, ib in curve.edge_index_pairs():
-        if depth_idx[ia] > depth_idx[ib]:
-            orientation_idx.append((ia, ib))
-        elif depth_idx[ib] > depth_idx[ia]:
-            orientation_idx.append((ib, ia))
-        else:
-            orientation_idx.append((ia, ib) if ia < ib else (ib, ia))
-
-    # Far-side subtree of each tree edge, accumulated bottom-up.
-    subtree = [1 << v for v in range(gamma)]
-    for v in sorted(range(gamma), key=lambda v: -depth_idx[v]):
-        if v != base_idx:
-            subtree[parent_idx[v][0]] |= subtree[v]
-    tree_edge_child = {j: v for v, (_, j) in parent_idx.items()}
-
-    geometry = []
-    geometry_pos = {}
-    for j in sorted(marked):
-        if j in tree_edge_indices:
-            mask = subtree[tree_edge_child[j]]
-            members = tuple(k for k in range(gamma) if mask & (1 << k))
-            internal, boundary = curve.subset_counts(mask)
-            if not curve.mask_is_connected(mask):
-                raise AssertionError("a far-side subcurve is disconnected")
-            if mask != full and not curve.mask_is_connected(full ^ mask):
-                raise AssertionError("a far-side complement is disconnected")
-            geometry_pos[j] = len(geometry)
-        else:
-            mask = 0
-            members = ()
-            internal = boundary = 0
-        geometry.append(
-            AjGeometry(curve.edge_ids[j], mask, members, internal, boundary)
-        )
+    edge_plan = []
+    for j, (ia, ib) in enumerate(curve.edge_index_pairs()):
+        pred, succ = (ib, ia) if depth[ib] > depth[ia] else (ia, ib)
+        edge_plan.append((pred, succ, geometry_pos.get(j, -1)))
 
     path_edges = []
     for v in range(gamma):
         path = []
-        while v != base_idx:
-            v, j = parent_idx[v]
+        u = v
+        while u != base_idx:
+            u, j = parent[u]
             path.append(j)
         path_edges.append(tuple(path))
+    # Parent-pointer paths are suffix-closed and minimal by construction;
+    # the checks document both properties and guard future refactors.
+    for v in range(gamma):
+        path = path_edges[v]
+        if len(path) != depth[v]:
+            raise AssertionError("tree path length disagrees with depth")
+        if v != base_idx and path[1:] != path_edges[parent[v][0]]:
+            raise AssertionError("tree paths are not suffix-closed")
 
-    ids = curve.vertex_ids
-    eids = curve.edge_ids
     ps = PathSystem(
         curve=curve,
         base=base,
-        marking=frozenset(eids[j] for j in marked),
-        tree_edges=frozenset(eids[j] for j in tree_edge_indices),
-        parent={
-            ids[v]: (ids[p], eids[j]) for v, (p, j) in parent_idx.items()
-        },
-        depth={ids[v]: depth_idx[v] for v in range(gamma)},
-        orientation={
-            eids[j]: (ids[pred], ids[succ])
-            for j, (pred, succ) in enumerate(orientation_idx)
-        },
         aj_geometry=tuple(geometry),
-        edge_plan=tuple(
-            (pred, succ, geometry_pos.get(j, -1))
-            for j, (pred, succ) in enumerate(orientation_idx)
-        ),
+        edge_plan=tuple(edge_plan),
         path_edges=tuple(path_edges),
     )
-    _assert_suffix_closed(ps)
     cache[base] = ps
     return ps
-
-
-def _assert_suffix_closed(ps: PathSystem) -> None:
-    # Parent-pointer paths are suffix-closed by construction; the check
-    # documents the property and guards future refactors.
-    for vid in ps.curve.vertex_ids:
-        path = ps.path_edge_ids(vid)
-        if vid != ps.base:
-            parent_path = ps.path_edge_ids(ps.parent[vid][0])
-            if path[1:] != parent_path:
-                raise AssertionError("tree paths are not suffix-closed")
-        if len(path) != ps.depth[vid]:
-            raise AssertionError("tree path length disagrees with depth")
 
 
 @dataclass(frozen=True)
@@ -344,6 +365,20 @@ def delta_decomposed(
     return Fraction(delta_decomposed_scaled(ps, q, aj, e), 2 * q)
 
 
+def path_rank_sums(ps: PathSystem, ranks: Sequence[int]) -> tuple[int, ...]:
+    """The telescoping kernel: per vertex index v, the sum of ``b_j - a_j
+    = r_succ - r_pred`` over the edges of v's tree path to the base."""
+    plan = ps.edge_plan
+    out = []
+    for path in ps.path_edges:
+        total = 0
+        for j in path:
+            pred, succ, _ = plan[j]
+            total += ranks[succ] - ranks[pred]
+        out.append(total)
+    return tuple(out)
+
+
 def check_path_identities(curve: CurveGraph, ps: PathSystem, e: SheafDatum) -> None:
     """The kernel of :func:`verify_path_identities`, for a datum that has
     been validated already."""
@@ -365,11 +400,7 @@ def check_path_identities(curve: CurveGraph, ps: PathSystem, e: SheafDatum) -> N
             class_diff[pair] = (j, diff)
 
     r_base = ranks[curve.index_of(ps.base)]
-    for v, path in enumerate(ps.path_edges):
-        total = 0
-        for j in path:
-            pred, succ, _ = plan[j]
-            total += ranks[succ] - ranks[pred]
+    for v, total in enumerate(path_rank_sums(ps, ranks)):
         expected = r_base - ranks[v]
         if total != expected:
             raise PathIdentityError(

@@ -5,12 +5,15 @@ within the configured bounds, deduplicated up to decorated-graph
 isomorphism by exhaustive vertex-permutation minimization (only up to five
 components; beyond that duplicates are tolerated, which costs throughput
 but never correctness).  ``run_campaign`` sweeps the corpus, probes the
-stability/goodness equivalence on every instance, re-checks the algebraic
-identity suite on seeded random sheaf data, and emits a CSV report plus a
-JSON summary whose bytes depend only on the configuration.
+stability/goodness equivalence on every instance, runs the algebraic
+identity suite (:func:`identity_failures`: exact proofs, memoized per
+curve, at a base and a subcurve drawn per instance), and emits a CSV
+report plus a JSON summary whose bytes depend only on the configuration.
 
 Randomness comes from SplitMix64, a fixed, documented 64-bit generator, so
-campaigns replay identically across platforms and runs.
+campaigns replay identically across platforms and runs.  The seed drives
+the identity suite's base and mask draws and, in random mode, the
+polarization draws; no CSV byte depends on the former.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations, product
 from operator import itemgetter
 from pathlib import Path
@@ -37,11 +39,17 @@ from .pathsys import (
     check_path_identities,
     delta_decomposed_scaled,
 )
-from .polarization import Polarization, enumerate_weight_grid, scaled_lambda
+from .polarization import (
+    Polarization,
+    ScaledLambda,
+    enumerate_weight_grid,
+    scaled_lambda,
+)
 from .sheafdata import (
-    SheafDatum,
+    KroneckerPoint,
     delta_general_scaled,
     delta_residual_scaled,
+    kronecker_point,
     restrict_scaled,
     validate_datum,
 )
@@ -90,9 +98,11 @@ class CampaignConfig:
     """Bounds and reproducibility knobs of a sweep.
 
     ``mode`` is ``"exhaustive"`` (every grid polarization; the seed only
-    feeds the identity suite) or ``"random"`` (``sample_count`` seeded grid
-    draws per curve).  ``max_rank`` caps the ranks of the identity suite's
-    random data at ``min(3, max_rank)``; goodness needs no rank bound.
+    drives the identity suite's base and mask draws) or ``"random"``
+    (``sample_count`` seeded grid draws per curve).  ``max_rank`` feeds
+    nothing any more: the identity suite proves its identities for every
+    datum, and goodness needs no rank bound.  It is still validated and
+    kept in the summary, whose bytes it is part of.
     """
 
     max_vertices: int
@@ -271,66 +281,107 @@ def _draw_samples(grid: Sequence[T], cfg: CampaignConfig, chash: str) -> list[T]
 # -- identity suite -------------------------------------------------------
 
 
-def _random_datum(curve: CurveGraph, rng: SplitMix64, max_rank: int) -> SheafDatum:
-    cap = min(3, max_rank)
-    ranks = [rng.randint(0, cap) for _ in range(curve.gamma)]
-    if all(r == 0 for r in ranks):
-        ranks[rng.randrange(curve.gamma)] = rng.randint(1, cap)
-    stalk = []
-    for ia, ib in curve.edge_index_pairs():
-        stalk.append(rng.randint(0, min(ranks[ia], ranks[ib])))
-    degrees = [rng.randint(-2, 2) if r > 0 else 0 for r in ranks]
-    return SheafDatum(tuple(ranks), tuple(degrees), tuple(stalk))
+def _proved(curve: CurveGraph, key: tuple, prove: Callable, *args) -> tuple[str, ...]:
+    """The failures of one proof, computed on first use and memoized on the
+    curve under ``key``."""
+    memo = curve._proofs
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = prove(curve, *args)
+    return found  # type: ignore[return-value]
+
+
+def _lambda_formula(curve: CurveGraph, point: KroneckerPoint) -> int:
+    """``2q * delta`` of the Kronecker datum by the lambda formula: the
+    reference the other formulas are compared with."""
+    return 2 * delta_general_scaled(curve, point.lam, point.q, point.datum)
+
+
+def _prove_residual(curve: CurveGraph) -> tuple[str, ...]:
+    """The lambda formula equals the residual formula."""
+    point = kronecker_point(curve)
+    try:
+        validate_datum(curve, point.datum)
+    except NodalPolError as exc:
+        return (f"Kronecker datum invalid: {exc}",)
+    residual = delta_residual_scaled(curve, point.lam, point.q, point.datum)
+    if residual != _lambda_formula(curve, point):
+        return ("defect formulas disagree: residual formula != lambda formula",)
+    return ()
+
+
+def _prove_path(curve: CurveGraph, base: int) -> tuple[str, ...]:
+    """The path formula at ``base`` equals the lambda formula, and both
+    path bookkeeping identities hold."""
+    point = kronecker_point(curve)
+    lam, q, datum = point.lam, point.q, point.datum
+    ps = build_path_system(curve, base)
+    failures = []
+    path = delta_decomposed_scaled(ps, q, aj_defects_scaled(ps, lam, q), datum)
+    if path != _lambda_formula(curve, point):
+        failures.append(
+            f"defect formulas disagree at base {base}: path formula != lambda formula"
+        )
+    try:
+        check_path_identities(curve, ps, datum)
+    except NodalPolError as exc:
+        failures.append(f"path identity failed at base {base}: {exc}")
+    return tuple(failures)
+
+
+def _prove_restriction(curve: CurveGraph, mask: int) -> tuple[str, ...]:
+    """Restriction to the subcurve ``mask`` and to its complement adds up to
+    the whole defect plus the boundary stalk ranks."""
+    point = kronecker_point(curve)
+    lam, q, datum = point.lam, point.q, point.datum
+    boundary_stalks = 0
+    for j, (ia, ib) in enumerate(curve.edge_index_pairs()):
+        if (mask >> ia & 1) != (mask >> ib & 1):
+            boundary_stalks += datum.stalk_free[j]
+    # Scaled by q.
+    lhs = restrict_scaled(curve, lam, q, datum, mask) + restrict_scaled(
+        curve, lam, q, datum, curve.full_mask ^ mask
+    )
+    if 2 * lhs != _lambda_formula(curve, point) + 2 * q * boundary_stalks:
+        return (f"restriction additivity failed for mask {mask}",)
+    return ()
 
 
 def identity_failures(
-    curve: CurveGraph, w: Polarization, rng: SplitMix64, max_rank: int
+    curve: CurveGraph,
+    w: Polarization,
+    rng: SplitMix64,
+    scaled: ScaledLambda | None = None,
 ) -> list[str]:
     """Run the per-instance identity suite; returns failure descriptions.
 
-    Checks, on one seeded random datum: the lambda entries sum to the node
-    count; the three defect formulas agree for a random base; restriction
-    over a random proper subcurve is additive up to the boundary stalk
-    ranks; and both path bookkeeping identities hold.  The datum is
-    validated once, and every formula runs as an integer kernel on the
-    same scaled lambda vector.
+    Per instance, the lambda entries of ``w`` must sum to the node count
+    (``scaled`` is the pair's :func:`scaled_lambda`, when the caller has
+    it already).  Then ``rng`` draws a base and a proper subcurve mask.
+    Every other check is an exact proof at the curve's Kronecker point
+    (``sheafdata.kronecker_point``), which covers every datum and every
+    polarization of the curve at once, so each is computed once and
+    memoized on the curve:
+
+    * per curve, the lambda formula equals the residual formula;
+    * per (curve, base), the path formula equals the lambda formula, and
+      both path bookkeeping identities hold;
+    * per (curve, mask), restriction is additive up to the boundary stalk
+      ranks.
+
+    The result is the concatenation of these failures, in that order;
+    failures of a proof name its base or mask.
     """
+    lam, q = scaled_lambda(curve, w) if scaled is None else scaled
     failures: list[str] = []
-    lam, q = scaled_lambda(curve, w)
     if sum(lam) != q * curve.delta:
         failures.append("lambda sum != node count")
-    e = _random_datum(curve, rng, max_rank)
-    try:
-        validate_datum(curve, e)
-    except NodalPolError as exc:
-        return [f"random datum invalid: {exc}"]
+    failures += _proved(curve, ("residual",), _prove_residual)
     base = curve.vertex_ids[rng.randrange(curve.gamma)]
-    ps = build_path_system(curve, base)
-    # All three scaled by 2q.
-    d1 = 2 * delta_general_scaled(curve, lam, q, e)
-    d2 = delta_residual_scaled(curve, lam, q, e)
-    d3 = delta_decomposed_scaled(ps, q, aj_defects_scaled(ps, lam, q), e)
-    if not d1 == d2 == d3:
-        failures.append(
-            "defect formulas disagree: "
-            + ", ".join(str(Fraction(d, 2 * q)) for d in (d1, d2, d3))
-        )
+    failures += _proved(curve, ("path", base), _prove_path, base)
     if curve.gamma >= 2:
         mask = 1 + rng.randrange(curve.full_mask - 1)
-        boundary_stalks = 0
-        for j, (ia, ib) in enumerate(curve.edge_index_pairs()):
-            if (mask >> ia & 1) != (mask >> ib & 1):
-                boundary_stalks += e.stalk_free[j]
-        # Scaled by q.
-        lhs = restrict_scaled(curve, lam, q, e, mask) + restrict_scaled(
-            curve, lam, q, e, curve.full_mask ^ mask
-        )
-        if 2 * lhs != d1 + 2 * q * boundary_stalks:
-            failures.append("restriction additivity failed")
-    try:
-        check_path_identities(curve, ps, e)
-    except NodalPolError as exc:
-        failures.append(f"path identity failed: {exc}")
+        failures += _proved(curve, ("restrict", mask), _prove_restriction, mask)
     return failures
 
 
@@ -424,7 +475,7 @@ def run_campaign(
             for w, weights_text in polarizations:
                 probe = conjecture_probe(curve, w)
                 rng = SplitMix64(cfg.seed ^ (0xA5A5A5A5 + 0x9E3779B9 * index))
-                failures = identity_failures(curve, w, rng, cfg.max_rank)
+                failures = identity_failures(curve, w, rng, probe.scaled)
                 verdict = probe.goodness
                 if verdict.status is GoodnessStatus.NOT_GOOD:
                     delta_min = format_rational(verdict.witness_delta)

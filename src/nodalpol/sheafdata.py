@@ -18,14 +18,16 @@ The central quantity is the defect
     delta(E) = wdeg(E) - sum(d_i),
 
 computed three independent ways across this module and ``pathsys``; their
-exact agreement is the package's primary cross-check.
+exact agreement is the package's primary cross-check.  It is proved once
+per curve at the :func:`kronecker_point`, whose docstring says why one
+evaluation suffices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .curve import CurveGraph, Subcurve
 from .errors import InvalidSheafError
@@ -285,3 +287,65 @@ def tensor_by_multidegree(e: SheafDatum, line_degrees: Sequence[int]) -> SheafDa
         ),
         stalk_free=e.stalk_free,
     )
+
+
+class KroneckerPoint(NamedTuple):
+    """A datum and a scaled lambda vector at which one evaluation of a
+    bilinear kernel encodes its whole coefficient table."""
+
+    datum: SheafDatum
+    lam: tuple[int, ...]
+    q: int
+
+
+def kronecker_width(delta: int) -> int:
+    """The slot width B for a curve with ``delta`` nodes: the least B with
+    ``2^(B-3) > 2 * delta``."""
+    return (2 * delta).bit_length() + 3
+
+
+def kronecker_point(curve: CurveGraph) -> KroneckerPoint:
+    """The curve's Kronecker point (Kronecker 1882; Schoenhage 1982 for the
+    integer form), built once and memoized on the curve.
+
+    Counting nodes and components from 0, the datum puts the stalk of node
+    j in slot ``j + 1`` and the rank of component k in slot
+    ``delta + 1 + k``, each entry ``2^(B * slot)``,
+    with degrees 0; every stalk rank is then below both branch ranks, so
+    the datum is valid.  Lambda lies on the hyperplane ``sum(lambda) =
+    q * delta``: ``q`` and ``lambda_1 .. lambda_(gamma-1)`` are the powers
+    ``2^(S * t)`` for ``t = 0 .. gamma-1``, with stride ``S = B * (gamma +
+    delta + 1)``, and ``lambda_gamma = q * delta - (the others)``.
+
+    Every defect kernel (lambda, residual, path, restriction) has degree
+    at most 1 in the datum and at most 1 in ``(lambda, q)``, and degrees
+    never enter.  On the hyperplane it is therefore a bilinear form
+    ``sum of c(slot, t) * x_slot * y_t`` in the datum slots and the free
+    variables ``y = (q, lambda_1, ...)``, and its value here is
+    ``sum of c(slot, t) * 2^(B * (slot + (gamma + delta + 1) * t))``: the
+    coefficients are the digits of one number in base ``2^B``, each at a
+    position of its own.  When every digit is below ``2^(B-1)`` in absolute
+    value, the value is zero only if every digit is.  The kernels'
+    coefficients stay at or below ``2 * delta``, under ``2^(B-3)`` by the
+    choice of B (``tests/test_kernels.py`` recovers them and checks the
+    margin ``2^(B-2)``), so the difference of two kernels has digits below
+    ``2^(B-1)``: two kernels equal at this point are equal for every datum
+    and every lambda on the hyperplane, which holds every polarization of
+    the curve.  Linear forms in the datum alone (the path bookkeeping) or
+    in lambda alone (a fixed datum) are special cases.
+    """
+    found = curve._proofs.get("point")
+    if found is None:
+        gamma, delta = curve.gamma, curve.delta
+        width = kronecker_width(delta)
+        stride = width * (gamma + delta + 1)
+        datum = SheafDatum(
+            ranks=tuple(1 << width * (delta + 1 + k) for k in range(gamma)),
+            degrees=(0,) * gamma,
+            stalk_free=tuple(1 << width * (j + 1) for j in range(delta)),
+        )
+        q = 1
+        free = [1 << stride * t for t in range(1, gamma)]
+        lam = tuple(free) + (q * delta - sum(free),)
+        found = curve._proofs["point"] = KroneckerPoint(datum, lam, q)
+    return found  # type: ignore[return-value]

@@ -4,9 +4,12 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+
+import pytest
 
 from conftest import random_curve, random_datum, random_polarization
 from nodalpol import (
@@ -282,6 +285,43 @@ class TestDecide:
                 fam = aj_family(c, w, ps)
                 assert delta_decomposed(c, w, ps, fam, datum) == value
             seen += 1
+
+
+    def test_witness_must_match_the_stability_verdict(self):
+        # The witness defect is tied to the failing value: O_B for the
+        # failing subcurve itself, the boundary size minus it for Bc.
+        c, w = two_genus2(), skew()
+        verdict = oc_stability(c, w)
+        assert decide(c, w, stability=verdict).witness_delta == verdict.failing_value
+        off = replace(verdict, failing_value=verdict.failing_value - F(1, 7))
+        with pytest.raises(AssertionError, match="stability verdict"):
+            decide(c, w, stability=off)
+        # A verdict failing through the upper window yields the complement.
+        c = CurveGraph.from_genera([0, 2], [(1, 2)] * 3)
+        w = Polarization.of([F(8, 9), F(1, 9)])
+        verdict = oc_stability(c, w)
+        assert verdict.failing_value >= verdict.failing_subcurve.boundary_size
+        found = decide(c, w, stability=verdict)
+        b = verdict.failing_subcurve
+        assert found.witness == SheafDatum.subcurve_sheaf(b.complement())
+        assert found.witness_delta == b.boundary_size - verdict.failing_value
+
+    def test_witness_proved_once_per_curve_and_subcurve(self, monkeypatch):
+        import nodalpol.goodness
+
+        calls = []
+        real = nodalpol.goodness.delta_residual_scaled
+
+        def spy(curve, lam, q, e):
+            calls.append(e)
+            return real(curve, lam, q, e)
+
+        monkeypatch.setattr(nodalpol.goodness, "delta_residual_scaled", spy)
+        c = two_genus2()
+        skews = [Polarization.of([F(k, 9), F(9 - k, 9)]) for k in (1, 2)]
+        for w in skews * 2:
+            assert decide(c, w).status is GoodnessStatus.NOT_GOOD
+        assert calls == [SheafDatum.subcurve_sheaf(Subcurve(c, 1))]
 
 
 class TestMinimizingStalks:

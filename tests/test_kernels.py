@@ -15,7 +15,10 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from conftest import random_curve, random_datum, random_polarization
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import curves, random_curve, random_datum, random_polarization
 from nodalpol import (
     CurveGraph,
     Polarization,
@@ -29,9 +32,16 @@ from nodalpol import (
     lambda_vector,
     restrict,
 )
-from nodalpol.pathsys import aj_defects_scaled, delta_decomposed_scaled
+from nodalpol.pathsys import aj_defects_scaled, delta_decomposed_scaled, path_rank_sums
 from nodalpol.polarization import delta_structure_scaled, scaled_lambda
-from nodalpol.sheafdata import delta_general_scaled, delta_residual_scaled, restrict_scaled
+from nodalpol.sheafdata import (
+    delta_general_scaled,
+    delta_residual_scaled,
+    kronecker_point,
+    kronecker_width,
+    restrict_scaled,
+    validate_datum,
+)
 
 F = Fraction
 
@@ -178,3 +188,135 @@ def test_path_kernels():
             assert F(delta_decomposed_scaled(ps, q, aj, e), 2 * q) == expected
             fam = aj_family(c, w, ps)
             assert delta_decomposed(c, w, ps, fam, e) == expected
+
+
+# -- premises of the Kronecker proofs ------------------------------------
+#
+# ``sheafdata.kronecker_point`` turns one evaluation of a kernel into a
+# proof for every datum and every lambda on the hyperplane
+# sum(lambda) = q * delta.  That rests on three properties of the kernels,
+# checked here on random curves: each is additive in the datum and in
+# (lambda, q) separately, it vanishes when either is zero, and its
+# coefficients, recovered by evaluating at unit vectors, stay below
+# 2^(B-2) for the slot width B, so that the difference of two kernels has
+# digits below 2^(B-1).
+
+
+def _premise_kernels(c: CurveGraph) -> dict:
+    """Every kernel the campaign's proofs compare, at the scale at which
+    they are compared: ``name -> K(datum, lam, q)``."""
+    out = {
+        "lambda": lambda e, lam, q: 2 * delta_general_scaled(c, lam, q, e),
+        "residual": lambda e, lam, q: delta_residual_scaled(c, lam, q, e),
+    }
+    for base in c.vertex_ids:
+        ps = build_path_system(c, base)
+        out[f"path@{base}"] = lambda e, lam, q, ps=ps: delta_decomposed_scaled(
+            ps, q, aj_defects_scaled(ps, lam, q), e
+        )
+        for v in range(c.gamma):
+            out[f"telescoping@{base}/{v}"] = (
+                lambda e, lam, q, ps=ps, v=v: path_rank_sums(ps, e.ranks)[v]
+            )
+    for mask in range(1, c.full_mask + 1):
+        out[f"restrict/{mask}"] = (
+            lambda e, lam, q, mask=mask: 2 * restrict_scaled(c, lam, q, e, mask)
+        )
+    return out
+
+
+def _datum(ranks, stalks) -> SheafDatum:
+    return SheafDatum(tuple(ranks), (0,) * len(ranks), tuple(stalks))
+
+
+def _add(x, y):
+    return [a + b for a, b in zip(x, y)]
+
+
+@st.composite
+def _bilinear_cases(draw):
+    c = draw(curves())
+    ints = st.integers(-50, 50)
+    vec = lambda n: st.lists(ints, min_size=n, max_size=n)  # noqa: E731
+    data = [(draw(vec(c.gamma)), draw(vec(c.delta))) for _ in range(2)]
+    lams = [(draw(vec(c.gamma)), draw(ints)) for _ in range(2)]
+    return c, data, lams
+
+
+@given(_bilinear_cases())
+@settings(max_examples=80, deadline=None)
+def test_kernels_are_bilinear(case):
+    c, ((r1, s1), (r2, s2)), ((l1, q1), (l2, q2)) = case
+    e1, e2, e12 = _datum(r1, s1), _datum(r2, s2), _datum(_add(r1, r2), _add(s1, s2))
+    zero_e = _datum([0] * c.gamma, [0] * c.delta)
+    l12, q12 = _add(l1, l2), q1 + q2
+    for name, kernel in _premise_kernels(c).items():
+        assert kernel(e12, l1, q1) == kernel(e1, l1, q1) + kernel(e2, l1, q1), name
+        assert kernel(zero_e, l1, q1) == 0, name
+        if name.startswith("telescoping"):
+            # Linear in the datum alone: lambda does not enter.
+            assert kernel(e1, l1, q1) == kernel(e1, l2, q2), name
+            continue
+        assert kernel(e1, l12, q12) == kernel(e1, l1, q1) + kernel(e1, l2, q2), name
+        assert kernel(e1, [0] * c.gamma, 0) == 0, name
+
+
+def _unit_data(c: CurveGraph):
+    """(slot, unit datum): stalk j in slot j + 1, rank k in slot delta+1+k."""
+    for j in range(c.delta):
+        yield j + 1, _datum([0] * c.gamma, [int(i == j) for i in range(c.delta)])
+    for k in range(c.gamma):
+        yield c.delta + 1 + k, _datum([int(i == k) for i in range(c.gamma)], [0] * c.delta)
+
+
+def _unit_lambdas(c: CurveGraph):
+    """(t, lam, q) for the free variables of the hyperplane: q, then
+    lambda_1 .. lambda_(gamma-1), with lambda_gamma = q*delta - the rest."""
+    last = c.gamma - 1
+    yield 0, [0] * last + [c.delta], 1
+    for t in range(1, c.gamma):
+        lam = [0] * c.gamma
+        lam[t - 1] = 1
+        lam[last] -= 1
+        yield t, lam, 0
+
+
+@given(curves())
+@settings(max_examples=60, deadline=None)
+def test_coefficient_tables_fit_the_kronecker_slots(c):
+    point = kronecker_point(c)
+    width = kronecker_width(c.delta)
+    assert point.q == 1
+    assert sum(point.lam) == point.q * c.delta
+    validate_datum(c, point.datum)
+    stride = width * (c.gamma + c.delta + 1)
+    reference = None
+    for name, kernel in _premise_kernels(c).items():
+        if name.startswith("telescoping"):
+            # Linear in the datum alone: one digit per datum slot.
+            lams = [(0, point.lam, point.q)]
+        else:
+            lams = list(_unit_lambdas(c))
+        table = {
+            (slot, t): kernel(e, lam, q)
+            for slot, e in _unit_data(c)
+            for t, lam, q in lams
+        }
+        assert all(abs(x) < 1 << (width - 2) for x in table.values()), name
+        # The Kronecker point reads the whole table in one evaluation.
+        encoded = sum(x << (width * slot + stride * t) for (slot, t), x in table.items())
+        assert kernel(point.datum, point.lam, point.q) == encoded, name
+        if name == "lambda":
+            reference = table
+        elif name == "residual" or name.startswith("path"):
+            assert table == reference, name
+
+
+def test_coefficients_reach_twice_the_node_count():
+    # The bound is tight: the coefficient of r_gamma * q in the lambda
+    # formula is 2 * delta.
+    c = CurveGraph.from_genera([0, 1, 0], [(1, 2), (2, 3), (1, 3), (1, 3)])
+    kernel = _premise_kernels(c)["lambda"]
+    rank_last = _datum([0, 0, 1], [0] * c.delta)
+    assert kernel(rank_last, [0, 0, c.delta], 1) == 2 * c.delta
+    assert 2 * c.delta < 1 << (kronecker_width(c.delta) - 3)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,7 +15,9 @@ from nodalpol import (
     run_campaign,
     sample_polarizations,
 )
+from nodalpol.pathsys import delta_decomposed_scaled
 from nodalpol.search import SplitMix64, curve_hash
+from nodalpol.sheafdata import residual_ranks
 
 F = Fraction
 
@@ -259,3 +263,87 @@ class TestRunCampaign:
         again = CurveGraph([(2, 2), (1, 2)], [(1, (2, 1))])
         assert curve_hash(c) == curve_hash(again)
         assert len(curve_hash(c)) == 12
+
+
+class TestIdentityProofs:
+    """The identity suite proves each identity once per curve, base or
+    mask, and a fault planted in one kernel shows on every instance whose
+    draw reaches it."""
+
+    SMALL = dict(max_vertices=3, max_edges=3, max_genus=1, weight_denominator_bound=4)
+
+    @staticmethod
+    def _residual_sign_flipped(curve, lam, q, e):
+        total = sum(r * (2 * l - q * d) for r, l, d in zip(e.ranks, lam, curve.vertex_degrees))
+        return total - q * sum(residual_ranks(curve, e))
+
+    @staticmethod
+    def _path_orientation_swapped(ps, q, aj, e):
+        plan = tuple((succ, pred, pos) for pred, succ, pos in ps.edge_plan)
+        return delta_decomposed_scaled(replace(ps, edge_plan=plan), q, aj, e)
+
+    @staticmethod
+    def _restriction_counts_boundary(curve, lam, q, e, mask):
+        total = sum(e.ranks[k] * l for k, l in enumerate(lam) if mask >> k & 1)
+        for j, (ia, ib) in enumerate(curve.edge_index_pairs()):
+            if mask >> ia & 1 or mask >> ib & 1:
+                total -= q * e.stalk_free[j]
+        return total
+
+    @pytest.mark.parametrize(
+        "name, fault, names",
+        [
+            ("delta_residual_scaled", "_residual_sign_flipped", "residual formula"),
+            ("delta_decomposed_scaled", "_path_orientation_swapped", "at base "),
+            ("restrict_scaled", "_restriction_counts_boundary", "for mask "),
+        ],
+    )
+    def test_planted_fault_flags_every_reached_instance(self, monkeypatch, name, fault, names):
+        import nodalpol.search
+
+        clean = run_campaign(cfg(**self.SMALL))
+        assert clean.consistent
+        monkeypatch.setattr(nodalpol.search, name, getattr(self, fault))
+        report = run_campaign(cfg(**self.SMALL))
+        # The CSV does not depend on the identity suite.
+        assert report.csv_sha256 == clean.csv_sha256
+        # Every draw on a curve with a node reaches these kernels, and the
+        # one-component curves have nothing to check.
+        reached = set()
+        index = 0
+        for curve in enumerate_curves(cfg(**self.SMALL)):
+            grid = len(list(sample_polarizations(curve, cfg(**self.SMALL))))
+            if curve.delta:
+                reached.update(range(index, index + grid))
+            index += grid
+        assert index == report.instances_checked
+        assert {r["index"] for r in report.identity_failures} == reached
+        for record in report.identity_failures:
+            assert set(record) == {"index", "curve", "curve_json", "weights", "failure"}
+            assert names in record["failure"]
+
+    def test_one_proof_per_curve_base_and_mask(self, monkeypatch):
+        import nodalpol.search
+
+        counts: dict[str, Counter] = {}
+
+        def counting(name):
+            real = getattr(nodalpol.search, name)
+            seen = counts.setdefault(name, Counter())
+
+            def spy(curve, *args):
+                seen[(curve._key,) + args] += 1
+                return real(curve, *args)
+
+            monkeypatch.setattr(nodalpol.search, name, spy)
+
+        for name in ("_prove_residual", "_prove_path", "_prove_restriction"):
+            counting(name)
+        report = run_campaign(cfg(**{**self.SMALL, "weight_denominator_bound": 6}, seed=5))
+        assert report.consistent
+        for name, seen in counts.items():
+            assert set(seen.values()) == {1}, name
+        assert len(counts["_prove_residual"]) == report.curves_enumerated
+        # Proofs are shared between instances of a curve.
+        for name in ("_prove_path", "_prove_restriction"):
+            assert 0 < len(counts[name]) < report.instances_checked / 2, name
