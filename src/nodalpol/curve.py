@@ -30,6 +30,16 @@ MAX_COMPONENTS = 62
 MAX_SUBSET_MASKS = 1 << 18
 
 
+def mask_members(mask: int) -> tuple[int, ...]:
+    """The vertex indices in a bitmask, ascending, one step per set bit."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
+
+
 class SubcurveStat(NamedTuple):
     """Precomputed data for one proper connected subcurve."""
 
@@ -337,13 +347,7 @@ class CurveGraph:
             grown.pop()  # the full mask, the largest of all
             stats = []
             for mask, internal, dsum, gsum in grown:
-                bits = []
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    bits.append(low.bit_length() - 1)
-                    rest ^= low
-                members = tuple(bits)
+                members = mask_members(mask)
                 stats.append(
                     SubcurveStat(
                         mask,
@@ -440,9 +444,7 @@ class Subcurve:
 
     @property
     def member_indices(self) -> tuple[int, ...]:
-        return tuple(
-            k for k in range(self.owner.gamma) if self.mask & (1 << k)
-        )
+        return mask_members(self.mask)
 
     @property
     def member_ids(self) -> tuple[int, ...]:

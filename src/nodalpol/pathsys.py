@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .curve import CurveGraph, Subcurve
+from .curve import CurveGraph, Subcurve, mask_members
 from .errors import InvalidCurveError, PathIdentityError
 from .polarization import Polarization, delta_structure_scaled, scaled_lambda
 from .sheafdata import SheafDatum, validate_datum
@@ -197,15 +197,11 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
             raise AssertionError("a far-side subcurve is disconnected")
         if mask != full and not curve.mask_is_connected(full ^ mask):
             raise AssertionError("a far-side complement is disconnected")
-        members = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
         internal, boundary = curve.subset_counts(mask)
         geometry_pos[j] = len(geometry)
-        geometry.append(AjGeometry(eids[j], mask, tuple(members), internal, boundary))
+        geometry.append(
+            AjGeometry(eids[j], mask, mask_members(mask), internal, boundary)
+        )
 
     # Orientation: the deeper endpoint precedes; equal depth breaks towards
     # the smaller id.  Parallel edges share endpoints, hence the class

@@ -310,16 +310,16 @@ def kronecker_point(curve: CurveGraph) -> KroneckerPoint:
 
     Counting nodes and components from 0, the datum puts the stalk of node
     j in slot ``j + 1`` and the rank of component k in slot
-    ``delta + 1 + k``, each entry ``2^(B * slot)``,
-    with degrees 0; every stalk rank is then below both branch ranks, so
-    the datum is valid.  Lambda lies on the hyperplane ``sum(lambda) =
-    q * delta``: ``q`` and ``lambda_1 .. lambda_(gamma-1)`` are the powers
-    ``2^(S * t)`` for ``t = 0 .. gamma-1``, with stride ``S = B * (gamma +
-    delta + 1)``, and ``lambda_gamma = q * delta - (the others)``.
+    ``delta + 1 + k``, each entry ``2^(B * slot)``, with degrees 0; every
+    stalk rank is then below both branch ranks, so the datum is valid.
+    Lambda lies on the hyperplane ``sum(lambda) = q * delta``: ``q`` and
+    ``lambda_1 .. lambda_(gamma-1)`` are the powers ``2^(S * t)`` for
+    ``t = 0 .. gamma-1``, with stride ``S = B * (gamma + delta + 1)``, and
+    ``lambda_gamma = q * delta - (the others)``.
 
-    Every defect kernel (lambda, residual, path, restriction) has degree
-    at most 1 in the datum and at most 1 in ``(lambda, q)``, and degrees
-    never enter.  On the hyperplane it is therefore a bilinear form
+    Every defect kernel (lambda, residual, path, restriction) is bilinear:
+    linear in the datum and linear in ``(lambda, q)``, so it vanishes when
+    either is zero, and degrees never enter.  On the hyperplane it is a form
     ``sum of c(slot, t) * x_slot * y_t`` in the datum slots and the free
     variables ``y = (q, lambda_1, ...)``, and its value here is
     ``sum of c(slot, t) * 2^(B * (slot + (gamma + delta + 1) * t))``: the
