@@ -16,7 +16,7 @@ from .pathsys import AjFamily, PathSystem, aj_family, build_path_system, delta_d
 from .polarization import Polarization, StabilityPolytope, canonical, delta_structure, enumerate_weight_grid, from_multidegree, lambda_vector, stability_polytope
 from .search import CampaignConfig, CampaignReport, enumerate_curves, run_campaign, sample_polarizations
 from .sheafdata import SheafDatum, SheafSlopeReport, delta_general, delta_residual, is_locally_free, restrict, restricted_wdeg, slope_report, tensor_by_multidegree, validate_datum
-from .stability import StabilityVerdict, oc_stability, rank1_stability, star_conditions
+from .stability import StabilityVerdict, oc_stability, rank1_stability
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "slope_report",
     "stability_polytope",
     "star2_conditions",
-    "star_conditions",
     "sufficient_check",
     "tensor_by_multidegree",
     "validate_datum",

@@ -25,9 +25,9 @@ from .goodness import GoodnessStatus, GoodnessVerdict, conjecture_probe, decide
 from .pathsys import aj_family, build_path_system
 from .polarization import (
     canonical,
-    delta_structure_scaled,
     scaled_lambda,
     stability_polytope,
+    subcurve_defects_scaled,
 )
 from .search import CampaignConfig, run_campaign
 from .stability import StabilityVerdict, oc_stability
@@ -65,11 +65,17 @@ def _print(obj) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    """Curve invariants, lambda, stability, goodness and, up to
+    ``SUBCURVE_TABLE_LIMIT`` components, the subcurve table.  The defect of
+    every proper connected subcurve is computed once, by
+    :func:`subcurve_defects_scaled`, and both the stability verdict and the
+    table read that list."""
     curve = jsonio.load_curve(args.curve)
     w = jsonio.load_polarization(args.polarization)
     scaled = scaled_lambda(curve, w)
     lam, q = scaled
-    verdict = oc_stability(curve, w, scaled)
+    defects = subcurve_defects_scaled(curve, lam, q)
+    verdict = oc_stability(curve, w, scaled, defects)
     good = decide(curve, w, stability=verdict, scaled=scaled)
     cls = curve.classify()
     report: dict = {
@@ -87,19 +93,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "goodness": _goodness_obj(good),
     }
     if curve.gamma <= SUBCURVE_TABLE_LIMIT:
-        ids = curve.vertex_ids
-        table = [
-            {
-                "members": [ids[k] for k in stat.members],
-                "boundary": stat.boundary,
-                "genus": stat.genus,
-                "delta": jsonio.format_scaled(
-                    delta_structure_scaled(lam, q, stat.members, stat.internal), q
-                ),
-            }
-            for stat in curve.connected_subcurve_stats()
-        ]
-        report["subcurves"] = table
+        report["subcurves"] = jsonio.subcurve_table(curve, defects, q)
     else:
         report["subcurves"] = (
             f"suppressed: {curve.gamma} components exceed the table limit "

@@ -41,13 +41,21 @@ def mask_members(mask: int) -> tuple[int, ...]:
 
 
 class SubcurveStat(NamedTuple):
-    """Precomputed data for one proper connected subcurve."""
+    """Precomputed data for one proper connected subcurve.
+
+    ``parent`` and ``vertex`` record the growth tree: the subcurve is the
+    one at position ``parent`` of :meth:`CurveGraph.connected_subcurve_stats`
+    plus the component ``vertex`` (``parent == -1`` for a single
+    component).  The parent is connected and comes earlier, since its mask
+    is a proper subset.  The member indices are ``mask_members(mask)``.
+    """
 
     mask: int
-    members: tuple[int, ...]  # vertex indices, ascending
-    internal: int             # nodes with both branches in the subcurve
-    boundary: int             # nodes joining the subcurve to its complement
-    genus: int                # arithmetic genus of the subcurve
+    parent: int    # position of the subcurve this one grew from, or -1
+    vertex: int    # index of the component added to the parent
+    internal: int  # nodes with both branches in the subcurve
+    boundary: int  # nodes joining the subcurve to its complement
+    genus: int     # arithmetic genus of the subcurve
 
 
 @dataclass(frozen=True)
@@ -292,14 +300,19 @@ class CurveGraph:
         the number of connected subcurves: polynomial on chains and cycles,
         still exponential on dense curves and stars.
 
-        Computed once per curve and reused by the stability and goodness
-        checks; empty when the curve has a single component.
+        Each entry keeps the branch that reached it (``parent``,
+        ``vertex``), so a sum over members can be carried forward in one
+        addition per entry, as ``polarization.subcurve_defects_scaled``
+        does.  Computed once per curve and reused by the stability and
+        goodness checks; empty when the curve has a single component.
         """
         if self._connected_stats is None:
             gamma = self.gamma
             adj = self._adjacency_masks
             deg = self._vertex_degrees
-            genera = self.genera
+            # Genus of a connected set: sum of (g - 1) over it, plus internal
+            # nodes, plus one.
+            excess = [g - 1 for g in self.genera]
             # Edge multiplicities as layered masks: layer j of vertex u holds
             # the neighbours joined to u by more than j nodes, so the nodes
             # between u and a set S number sum(|layer & S|) over the layers.
@@ -314,16 +327,30 @@ class CurveGraph:
                 )
                 for row in mult
             ]
-            # (mask, internal nodes, degree sum, genus sum) per connected set
+            # Per connected set: its mask, its growth index, the growth
+            # index of its parent (-1 for a single vertex), the vertex
+            # added, internal nodes, boundary nodes and genus.
             grown = []
             for v in range(gamma):
                 low = 1 << v
-                # (mask, neighbours of the mask, banned, internal, degrees,
-                # genera); the banned set always covers the mask.
-                stack = [(low, adj[v], (low << 1) - 1, 0, deg[v], genera[v])]
+                # (mask, neighbours of the mask, banned, parent, vertex added,
+                # internal, degree sum, excess sum); the banned set always
+                # covers the mask.
+                stack = [(low, adj[v], (low << 1) - 1, -1, v, 0, deg[v], excess[v])]
                 while stack:
-                    mask, reach, banned, internal, dsum, gsum = stack.pop()
-                    grown.append((mask, internal, dsum, gsum))
+                    mask, reach, banned, parent, added, internal, dsum, esum = stack.pop()
+                    here = len(grown)
+                    grown.append(
+                        (
+                            mask,
+                            here,
+                            parent,
+                            added,
+                            internal,
+                            dsum - 2 * internal,
+                            esum + internal + 1,
+                        )
+                    )
                     frontier = reach & ~banned
                     while frontier:
                         bit = frontier & -frontier
@@ -338,23 +365,32 @@ class CurveGraph:
                                 mask | bit,
                                 reach | adj[u],
                                 banned,
+                                here,
+                                u,
                                 joined,
                                 dsum + deg[u],
-                                gsum + genera[u],
+                                esum + excess[u],
                             )
                         )
             grown.sort()
             grown.pop()  # the full mask, the largest of all
+            # Position in mask order per growth index (the full mask's index
+            # included).  A parent's mask is a proper subset of its child's,
+            # so its position is known by the time the child is placed.
+            position = [0] * (len(grown) + 1)
             stats = []
-            for mask, internal, dsum, gsum in grown:
-                members = mask_members(mask)
+            for pos, (mask, here, parent, added, internal, boundary, genus) in enumerate(
+                grown
+            ):
+                position[here] = pos
                 stats.append(
                     SubcurveStat(
                         mask,
-                        members,
+                        position[parent] if parent >= 0 else -1,
+                        added,
                         internal,
-                        dsum - 2 * internal,
-                        gsum + internal - len(members) + 1,
+                        boundary,
+                        genus,
                     )
                 )
             self._connected_stats = tuple(stats)

@@ -11,7 +11,11 @@ is a one-pass encoder whose output is byte-identical to
 ``json.dumps(obj, sort_keys=True, indent=2)`` followed by a newline.  It
 accepts only dicts with string keys, lists, strings, integers, booleans
 and ``None``, and raises ``TypeError`` on anything else, floats included:
-every number the package prints is exact rational text.  A document the
+every number the package prints is exact rational text.  The one
+exception is :class:`Prerendered`, text already in that layout, which the
+encoder re-indents to the depth where it sits; :func:`subcurve_table`
+writes the ``analyze`` subcurve table that way, row by row from the
+integers, since it can hold thousands of rows.  A document the
 loaders cannot turn into a curve, polarization or sheaf datum raises
 ``SchemaError``, also when it is well formed but its values are not (a loop,
 a disconnected graph, weights off the simplex).
@@ -21,11 +25,12 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .curve import CurveGraph
 from .errors import InvalidCurveError, InvalidPolarizationError, SchemaError
@@ -66,6 +71,15 @@ def format_scaled(num: int, den: int) -> str:
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
     return format_scaled(x.numerator, x.denominator)
+
+
+@dataclass(frozen=True)
+class Prerendered:
+    """A JSON value as :func:`canonical_dumps` writes it at the top level,
+    without the final newline.  Placed anywhere in a document, it is
+    written as that value would be."""
+
+    text: str
 
 
 def _encode(x: Any, pad: str) -> str:
@@ -111,11 +125,50 @@ def _encode(x: Any, pad: str) -> str:
         return "false"
     if x is None:
         return "null"
+    if t is Prerendered:
+        # Newlines occur only between tokens, since strings escape them.
+        return x.text.replace("\n", pad)
     raise TypeError(f"{t.__name__} is not serializable as exact JSON")
 
 
 def canonical_dumps(obj: Any) -> str:
     return _encode(obj, "\n") + "\n"
+
+
+def _subset_texts(texts: Sequence[str]) -> list[str]:
+    """The concatenation of ``texts`` over each subset, indexed by mask."""
+    out = [""]
+    for text in texts:
+        out += [t + text for t in out]
+    return out
+
+
+def subcurve_table(curve: CurveGraph, defects: Sequence[int], q: int) -> Prerendered:
+    """The ``analyze`` table of proper connected subcurves, one row per
+    entry of ``curve.connected_subcurve_stats()``: the dict
+    ``{"boundary", "delta", "genus", "members"}`` with ``defects[i] / q``
+    as its delta and the member vertex ids, ascending.  Each row is
+    written straight from the integers; member ids come from two tables
+    of id text, for the low and the high 8 components, so a curve has at
+    most 16 components here.
+    """
+    if curve.gamma > 16:
+        raise ValueError(
+            f"the subcurve table holds at most 16 components, got {curve.gamma}"
+        )
+    stats = curve.connected_subcurve_stats()
+    if not stats:
+        return Prerendered("[]")
+    # Every id behind its separator; a row strips the first comma.
+    ids = [",\n      " + str(v) for v in curve.vertex_ids]
+    low, high = _subset_texts(ids[:8]), _subset_texts(ids[8:])
+    rows = [
+        f'{{\n    "boundary": {boundary},\n    "delta": "{format_scaled(d, q)}",'
+        f'\n    "genus": {genus},\n    "members": ['
+        f"{(low[mask & 255] + high[mask >> 8])[1:]}\n    ]\n  }}"
+        for (mask, _, _, _, boundary, genus), d in zip(stats, defects)
+    ]
+    return Prerendered("[\n  " + ",\n  ".join(rows) + "\n]")
 
 
 def _loads(text: str) -> Any:

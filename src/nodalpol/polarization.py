@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .curve import CurveGraph, Subcurve
@@ -181,6 +181,23 @@ def delta_structure_scaled(
     return sum(lam[k] for k in members) - q * internal
 
 
+def subcurve_defects_scaled(curve: CurveGraph, lam: Sequence[int], q: int) -> list[int]:
+    """``q * delta_structure(B)`` for every entry of
+    ``curve.connected_subcurve_stats()``, in the same order.
+
+    Each subcurve is its parent in the growth tree plus one component, and
+    parents come first, so the lambda sum over B takes one addition per
+    entry instead of a pass over B's members.
+    """
+    sums = [0]  # sums[i + 1] is the lambda sum over entry i
+    defects = []
+    for _, parent, vertex, internal, _, _ in curve.connected_subcurve_stats():
+        s = sums[parent + 1] + lam[vertex]
+        sums.append(s)
+        defects.append(s - q * internal)
+    return defects
+
+
 def delta_structure(b: Subcurve, w: Polarization) -> Fraction:
     """Structure-sheaf defect of a subcurve.
 
@@ -233,20 +250,18 @@ def enumerate_weight_grid(gamma: int, max_denominator: int) -> Iterator[Polariza
 
     Enumerates positive numerator compositions per denominator, ascending
     denominator then lexicographic, skipping vectors already produced with
-    a smaller denominator.  Deterministic.
+    a smaller denominator (those whose numerators share a factor with the
+    denominator).  Deterministic.
     """
     if gamma < 1 or max_denominator < 1:
         raise InvalidPolarizationError("grid parameters must be positive")
-    seen: set[tuple[Fraction, ...]] = set()
-    for q in range(1, max_denominator + 1):
-        if q < gamma:
-            continue
+    for q in range(gamma, max_denominator + 1):
         for parts in _positive_compositions(q, gamma):
-            ws = tuple(Fraction(p, q) for p in parts)
-            if ws in seen:
+            # A common factor g means the same point at denominator q/g,
+            # which is at least gamma and so was produced already.
+            if gcd(q, *parts) != 1:
                 continue
-            seen.add(ws)
-            yield Polarization(ws)
+            yield Polarization(tuple(Fraction(p, q) for p in parts))
 
 
 def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import CurveGraph, Subcurve
-from .errors import UnsupportedCurveError, UnsupportedRankError
+from .errors import UnsupportedRankError
 from .polarization import (
     Polarization,
     ScaledLambda,
-    delta_structure_scaled,
     scaled_lambda,
+    subcurve_defects_scaled,
 )
 from .sheafdata import SheafDatum, slope_report, validate_datum
 
@@ -44,24 +44,29 @@ class StabilityVerdict:
 
 
 def oc_stability(
-    curve: CurveGraph, w: Polarization, scaled: ScaledLambda | None = None
+    curve: CurveGraph,
+    w: Polarization,
+    scaled: ScaledLambda | None = None,
+    defects: list[int] | None = None,
 ) -> StabilityVerdict:
     """Decide w-stability of the structure sheaf.
 
     A one-component curve has no proper subcurves, so the verdict there is
-    trivially stable.  ``scaled`` is the pair's :func:`scaled_lambda`, when
-    the caller has it already.
+    trivially stable.  ``scaled`` is the pair's :func:`scaled_lambda` and
+    ``defects`` its :func:`subcurve_defects_scaled` list, when the caller
+    has them already.
     """
     if curve.gamma == 1:
         return StabilityVerdict(stable=True, semistable=True)
 
     lam, q = scaled_lambda(curve, w) if scaled is None else scaled
+    if defects is None:
+        defects = subcurve_defects_scaled(curve, lam, q)
     stable = True
     semistable = True
     failing_mask: int | None = None
     failing_scaled = 0
-    for stat in curve.connected_subcurve_stats():
-        s = delta_structure_scaled(lam, q, stat.members, stat.internal)
+    for stat, s in zip(curve.connected_subcurve_stats(), defects):
         hi = q * stat.boundary
         if not 0 < s < hi:
             if stable:
@@ -88,33 +93,6 @@ def oc_stability(
         failing_subcurve=Subcurve(curve, failing_mask),  # type: ignore[arg-type]
         failing_value=Fraction(failing_scaled, q),
     )
-
-
-def star_conditions(
-    curve: CurveGraph, w: Polarization
-) -> list[tuple[Subcurve, bool]]:
-    """The weight-window condition for each proper connected subcurve.
-
-    For arithmetic genus at least 2,
-    ``(p_a(B)-1)/(p_a-1) < sum(w_i, i in B) < (p_a(B)-1+delta_B)/(p_a-1)``
-    is equivalent to ``0 < delta_structure(B) < delta_B``, so all entries
-    are satisfied exactly when O_C is w-stable.
-    """
-    pa = curve.arithmetic_genus
-    if pa < 2:
-        raise UnsupportedCurveError(
-            "weight-window conditions need arithmetic genus >= 2"
-        )
-    if w.gamma != curve.gamma:
-        raise UnsupportedCurveError("polarization length mismatch")
-    P = pa - 1
-    out = []
-    for stat in curve.connected_subcurve_stats():
-        wsum = sum((w.weights[k] for k in stat.members), Fraction(0))
-        lower = Fraction(stat.genus - 1, P)
-        upper = Fraction(stat.genus - 1 + stat.boundary, P)
-        out.append((Subcurve(curve, stat.mask), lower < wsum < upper))
-    return out
 
 
 def rank1_stability(

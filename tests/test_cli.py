@@ -2,14 +2,28 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import nodalpol.balanced
 import nodalpol.cli
+import nodalpol.polarization
+from nodalpol import CurveGraph, Polarization
 from nodalpol.cli import main
+from nodalpol.curve import mask_members
+from nodalpol.jsonio import (
+    canonical_dumps,
+    curve_to_obj,
+    format_scaled,
+    polarization_to_obj,
+    subcurve_table,
+)
+from nodalpol.polarization import delta_structure_scaled, scaled_lambda
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -504,3 +518,109 @@ class TestParserReuse:
         assert main(_argv(case)) == 7
         assert seen == ["analyze"]
         assert capsys.readouterr().out == ""
+
+
+# -- the subcurve table ---------------------------------------------------
+
+
+def _table_rows(curve: CurveGraph, w: Polarization) -> list[dict]:
+    """The subcurve table as a list of dicts, one per row, each delta summed
+    over the row's members: the layout ``analyze`` prints."""
+    lam, q = scaled_lambda(curve, w)
+    rows = []
+    for stat in curve.connected_subcurve_stats():
+        members = mask_members(stat.mask)
+        rows.append(
+            {
+                "members": [curve.vertex_ids[k] for k in members],
+                "boundary": stat.boundary,
+                "genus": stat.genus,
+                "delta": format_scaled(
+                    delta_structure_scaled(lam, q, members, stat.internal), q
+                ),
+            }
+        )
+    return rows
+
+
+def _table_case(rng: random.Random, gamma: int) -> tuple[CurveGraph, Polarization]:
+    """Sparse or dense, with parallel edges, shuffled ids of one to three
+    digits and weight numerators 1-20."""
+    ids = rng.sample(range(1, 1000), gamma)
+    edges = [(ids[rng.randrange(k)], ids[k]) for k in range(1, gamma)]
+    if gamma >= 2:
+        edges += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 2 * gamma))]
+        edges += [rng.choice(edges) for _ in range(rng.randint(0, 3))]
+    curve = CurveGraph(
+        [(v, rng.randint(0, 3)) for v in ids],
+        [(j + 1, ends) for j, ends in enumerate(edges)],
+    )
+    nums = [rng.randint(1, 20) for _ in range(gamma)]
+    return curve, Polarization.of([Fraction(n, sum(nums)) for n in nums])
+
+
+class TestSubcurveTable:
+    """The table is written as text from the integers; the list of dicts
+    above, through ``json.dumps``, is the oracle."""
+
+    # Genera (2, 1) meeting once, at w = (1/2, 1/2): delta is 0 on the
+    # genus-2 component and 1 on the other.
+    ZERO_AND_INTEGER = (
+        CurveGraph([(305, 2), (17, 1)], [(9, (305, 17))]),
+        Polarization.of(["1/2", "1/2"]),
+    )
+
+    def _analyze(self, capsys, tmp_path, curve, w) -> tuple[int, str]:
+        cpath, wpath = tmp_path / "curve.json", tmp_path / "w.json"
+        cpath.write_text(canonical_dumps(curve_to_obj(curve)))
+        wpath.write_text(canonical_dumps(polarization_to_obj(w)))
+        code = main(["analyze", "--curve", str(cpath), "--polarization", str(wpath)])
+        return code, capsys.readouterr().out
+
+    def test_report_matches_dict_rows(self, capsys, tmp_path):
+        rng = random.Random(1212)
+        cases = [self.ZERO_AND_INTEGER]
+        cases += [_table_case(rng, gamma) for gamma in range(1, 13) for _ in range(4)]
+        kinds = set()
+        for curve, w in cases:
+            code, out = self._analyze(capsys, tmp_path, curve, w)
+            assert code in (0, 1)
+            obj = json.loads(out)
+            obj["subcurves"] = rows = _table_rows(curve, w)
+            assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n", curve
+            for row in rows:
+                d = Fraction(row["delta"])
+                kinds.add("fraction" if d.denominator > 1 else (d > 0) - (d < 0))
+        assert kinds == {-1, 0, 1, "fraction"}
+
+    @pytest.mark.parametrize("gamma", [13, 16])
+    def test_beyond_the_cli_limit(self, gamma):
+        # The CLI prints the table up to 12 components; the writer takes 16.
+        curve, w = _table_case(random.Random(gamma), gamma)
+        lam, q = scaled_lambda(curve, w)
+        defects = nodalpol.polarization.subcurve_defects_scaled(curve, lam, q)
+        text = canonical_dumps(subcurve_table(curve, defects, q))
+        assert text == json.dumps(_table_rows(curve, w), indent=2, sort_keys=True) + "\n"
+
+    def test_seventeen_components_refused(self):
+        curve = CurveGraph.from_genera([1] * 17, [(k, k + 1) for k in range(1, 17)])
+        with pytest.raises(ValueError, match="16"):
+            subcurve_table(curve, [0] * len(curve.connected_subcurve_stats()), 1)
+
+    def test_defects_computed_once(self, capsys, monkeypatch):
+        calls = []
+        kernel = nodalpol.polarization.subcurve_defects_scaled
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nodalpol") and getattr(
+                module, "subcurve_defects_scaled", None
+            ) is kernel:
+                monkeypatch.setattr(module, "subcurve_defects_scaled", counted)
+        case = ("analyze", "--curve", "multigraph5_mixed.json", "--polarization", "w_multigraph5.json")
+        expected = next((c, h) for k, c, h in GOLDEN_OUTPUTS if k == case)
+        assert _stdout(capsys, case) == expected
+        assert len(calls) == 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from conftest import curves
 from nodalpol import CurveGraph
-from nodalpol.curve import MAX_COMPONENTS, SubcurveStat
+from nodalpol.curve import MAX_COMPONENTS, mask_members
 from nodalpol.errors import InvalidCurveError
 
 
@@ -159,7 +159,26 @@ class TestEnumeration:
         rng = random.Random(2008)
         for _ in range(2000):
             c = _random_multigraph(rng, rng.randint(1, 10))
-            assert c.connected_subcurve_stats() == _mask_filter_stats(c), c
+            facts = tuple(
+                (s.mask, mask_members(s.mask), s.internal, s.boundary, s.genus)
+                for s in c.connected_subcurve_stats()
+            )
+            assert facts == _mask_filter_stats(c), c
+
+    def test_growth_tree(self):
+        rng = random.Random(2009)
+        for _ in range(500):
+            c = _random_multigraph(rng, rng.randint(1, 10))
+            stats = c.connected_subcurve_stats()
+            for pos, s in enumerate(stats):
+                if s.parent == -1:
+                    assert s.mask == 1 << s.vertex, c
+                    continue
+                assert 0 <= s.parent < pos, c
+                parent_mask = stats[s.parent].mask
+                assert not parent_mask >> s.vertex & 1, c
+                assert parent_mask | 1 << s.vertex == s.mask, c
+                assert c.mask_is_connected(parent_mask), c
 
     @pytest.mark.parametrize("closed", [False, True], ids=["chain", "cycle"])
     def test_counts_at_component_cap(self, closed):
@@ -187,8 +206,9 @@ class TestEnumeration:
             assert cls.quasistable  # no exceptional components at all
 
 
-def _mask_filter_stats(c: CurveGraph) -> tuple[SubcurveStat, ...]:
-    """Brute-force oracle: test all 2^gamma masks for connectivity."""
+def _mask_filter_stats(c: CurveGraph) -> tuple[tuple, ...]:
+    """Brute-force oracle: test all 2^gamma masks for connectivity; one
+    ``(mask, members, internal, boundary, genus)`` per connected mask."""
     stats = []
     for mask in range(1, c.full_mask):
         if not c.mask_is_connected(mask):
@@ -196,7 +216,7 @@ def _mask_filter_stats(c: CurveGraph) -> tuple[SubcurveStat, ...]:
         members = tuple(k for k in range(c.gamma) if mask & (1 << k))
         internal, boundary = c.subset_counts(mask)
         genus = sum(c.genera[k] for k in members) + internal - len(members) + 1
-        stats.append(SubcurveStat(mask, members, internal, boundary, genus))
+        stats.append((mask, members, internal, boundary, genus))
     return tuple(stats)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nodalpol import CurveGraph, Polarization, SheafDatum
 from nodalpol.errors import SchemaError
 from nodalpol.jsonio import (
+    Prerendered,
     canonical_dumps,
     curve_from_obj,
     curve_to_obj,
@@ -263,6 +264,40 @@ class TestCanonicalDumps:
     def test_rejects_non_json_types(self, value):
         with pytest.raises(TypeError):
             canonical_dumps(value)
+
+
+class TestPrerendered:
+    """Text in the encoder's own layout, placed at any depth, is written as
+    the value it encodes would be."""
+
+    DEPTHS = {
+        "depth-0": lambda v: v,
+        "depth-1": lambda v: {"b": 1, "a": v, "c": [2]},
+        "depth-2": lambda v: [{"k": v, "j": "x"}, 3],
+    }
+
+    @pytest.mark.parametrize("wrap", DEPTHS.values(), ids=DEPTHS.keys())
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [{"members": [12, 305], "delta": "-1/2", "boundary": 2, "genus": 0}],
+            {"a\nb": ["line\nbreak", []], "z": {}},
+            [],
+            "plain",
+            -7,
+        ],
+    )
+    def test_cases(self, wrap, value):
+        placed = Prerendered(canonical_dumps(value)[:-1])
+        expected = json.dumps(wrap(value), sort_keys=True, indent=2) + "\n"
+        assert canonical_dumps(wrap(placed)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_json_values)
+    def test_matches_json_dumps_at_depth_2(self, value):
+        wrap = self.DEPTHS["depth-2"]
+        placed = Prerendered(canonical_dumps(value)[:-1])
+        assert canonical_dumps(wrap(placed)) == json.dumps(wrap(value), sort_keys=True, indent=2) + "\n"
 
 
 class TestFormatScaled:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import polarized_curves
+from conftest import polarized_curves, random_curve, random_polarization
 from nodalpol import (
     CampaignConfig,
     CurveGraph,
@@ -17,6 +19,12 @@ from nodalpol import (
     from_multidegree,
     lambda_vector,
     stability_polytope,
+)
+from nodalpol.curve import mask_members
+from nodalpol.polarization import (
+    delta_structure_scaled,
+    scaled_lambda,
+    subcurve_defects_scaled,
 )
 from nodalpol.errors import (
     CanonicalUndefinedError,
@@ -137,7 +145,41 @@ class TestDeltaStructure:
             )
 
 
+class TestSubcurveDefects:
+    def test_matches_sum_over_members(self):
+        rng = random.Random(2020)
+        for _ in range(400):
+            c = random_curve(rng, max_gamma=8, max_extra_edges=6)
+            lam, q = scaled_lambda(c, random_polarization(rng, c.gamma))
+            expected = [
+                delta_structure_scaled(lam, q, mask_members(s.mask), s.internal)
+                for s in c.connected_subcurve_stats()
+            ]
+            assert subcurve_defects_scaled(c, lam, q) == expected, c
+
+
+def _grid_by_set(gamma: int, bound: int) -> list[tuple[Fraction, ...]]:
+    """The weight grid by its definition: every positive composition per
+    denominator, ascending, minus the vectors seen at a smaller one."""
+    seen: set[tuple[Fraction, ...]] = set()
+    out = []
+    for q in range(gamma, bound + 1):
+        for cuts in combinations(range(1, q), gamma - 1):
+            ends = (0,) + cuts + (q,)
+            ws = tuple(F(b - a, q) for a, b in zip(ends, ends[1:]))
+            if ws not in seen:
+                seen.add(ws)
+                out.append(ws)
+    return out
+
+
 class TestWeightGrid:
+    @pytest.mark.parametrize("gamma", [1, 2, 3, 4, 5])
+    def test_matches_set_based_enumeration(self, gamma):
+        for bound in range(1, 13):
+            grid = [p.weights for p in enumerate_weight_grid(gamma, bound)]
+            assert grid == _grid_by_set(gamma, bound), (gamma, bound)
+
     def test_two_components_bound_three(self):
         grid = [p.weights for p in enumerate_weight_grid(2, 3)]
         assert grid == [

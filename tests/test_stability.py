@@ -15,12 +15,39 @@ from nodalpol import (
     delta_structure,
     oc_stability,
     rank1_stability,
-    star_conditions,
 )
-from nodalpol.curve import MAX_SUBSET_MASKS
+from nodalpol.curve import MAX_SUBSET_MASKS, Subcurve, mask_members
 from nodalpol.errors import UnsupportedCurveError, UnsupportedRankError
 
 F = Fraction
+
+
+def star_conditions(
+    curve: CurveGraph, w: Polarization
+) -> list[tuple[Subcurve, bool]]:
+    """Fraction oracle: the weight-window condition for each proper
+    connected subcurve.
+
+    For arithmetic genus at least 2,
+    ``(p_a(B)-1)/(p_a-1) < sum(w_i, i in B) < (p_a(B)-1+delta_B)/(p_a-1)``
+    is equivalent to ``0 < delta_structure(B) < delta_B``, so all entries
+    are satisfied exactly when O_C is w-stable.
+    """
+    pa = curve.arithmetic_genus
+    if pa < 2:
+        raise UnsupportedCurveError(
+            "weight-window conditions need arithmetic genus >= 2"
+        )
+    if w.gamma != curve.gamma:
+        raise UnsupportedCurveError("polarization length mismatch")
+    P = pa - 1
+    out = []
+    for stat in curve.connected_subcurve_stats():
+        wsum = sum((w.weights[k] for k in mask_members(stat.mask)), Fraction(0))
+        lower = Fraction(stat.genus - 1, P)
+        upper = Fraction(stat.genus - 1 + stat.boundary, P)
+        out.append((Subcurve(curve, stat.mask), lower < wsum < upper))
+    return out
 
 
 def two_genus2() -> CurveGraph:
