@@ -9,7 +9,7 @@ equivalence between the two notions.
 """
 
 from .balanced import MultidegreeBundle, balanced_stability_bridge, is_balanced, is_strictly_balanced, omega_degree
-from .curve import CurveClass, CurveGraph, Subcurve
+from .curve import CurveClass, CurveGraph, DualGraph, Subcurve
 from .errors import NodalPolError
 from .goodness import GoodnessStatus, GoodnessVerdict, conjecture_probe, decide, sufficient_check
 from .pathsys import AjFamily, PathSystem, aj_family, build_path_system, delta_decomposed, star2_conditions, verify_path_identities
@@ -26,6 +26,7 @@ __all__ = [
     "CampaignReport",
     "CurveClass",
     "CurveGraph",
+    "DualGraph",
     "GoodnessStatus",
     "GoodnessVerdict",
     "MultidegreeBundle",

@@ -7,6 +7,13 @@ construction, since a node on such a curve always joins two distinct
 components.  Parallel edges are allowed: two components may meet in any
 number of nodes.
 
+The genus-free part of a curve is a :class:`DualGraph`: ids, edge ends,
+index pairs, adjacency masks and degrees, plus what ``pathsys`` builds on
+them.  A :class:`CurveGraph` is a dual graph decorated with a genus vector
+(:meth:`DualGraph.decorate`); every decoration of one graph object shares
+that object and its index data.  Graphs are shared only by construction:
+two curves built separately from the same ids and edges get two graphs.
+
 Subcurves (unions of components) are stored as bitmasks over the vertex
 positions, ordered by ascending vertex id.  Every quantity computed here is
 a small integer, so all arithmetic is exact.
@@ -15,7 +22,7 @@ a small integer, so all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidCurveError, UnsupportedCurveError
 
@@ -38,6 +45,26 @@ def mask_members(mask: int) -> tuple[int, ...]:
         members.append(low.bit_length() - 1)
         mask ^= low
     return tuple(members)
+
+
+def lowest_component(adjacency: Sequence[int], mask: int) -> int:
+    """The vertices of ``mask`` joined to its lowest vertex by paths inside
+    ``mask`` (0 for the empty mask).
+
+    ``adjacency[v]`` is the neighbour mask of vertex v.  Each step expands
+    only the vertices first reached in the step before, so every
+    adjacency mask is read at most once.
+    """
+    reached = frontier = mask & -mask
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adjacency[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & mask & ~reached
+        reached |= frontier
+    return reached
 
 
 class SubcurveStat(NamedTuple):
@@ -74,55 +101,127 @@ class CurveClass:
     cycle_of_rationals: bool
 
 
-class CurveGraph:
-    """Connected loopless multigraph with a genus attached to each vertex.
+def _check_vertex_ids(ids: Sequence[int]) -> None:
+    """Reject an empty, repeated, non-positive or oversized id list (sorted)."""
+    if not ids:
+        raise InvalidCurveError("a curve needs at least one component")
+    if len(set(ids)) != len(ids):
+        raise InvalidCurveError("duplicate vertex id")
+    if ids[0] <= 0:
+        raise InvalidCurveError(f"vertex ids must be positive, got {ids[0]}")
+    if len(ids) > MAX_COMPONENTS:
+        raise InvalidCurveError(
+            f"at most {MAX_COMPONENTS} components are supported, got {len(ids)}"
+        )
 
-    ``vertices`` is an iterable of ``(id, genus)`` pairs and ``edges`` an
-    iterable of ``(id, (end_a, end_b))`` with vertex ids as endpoints.  Ids
-    must be unique positive integers.  Instances are immutable after
-    construction and safe to share.
+
+class _Multigraph:
+    """Genus-free queries, shared by :class:`DualGraph` and
+    :class:`CurveGraph`, which holds its graph's index data."""
+
+    __slots__ = ()
+
+    vertex_ids: tuple[int, ...]
+    edge_ids: tuple[int, ...]
+    edge_ends: tuple[tuple[int, int], ...]
+    _index_of_id: dict[int, int]
+    _edge_index_pairs: tuple[tuple[int, int], ...]
+    _adjacency_masks: tuple[int, ...]
+    _vertex_degrees: tuple[int, ...]
+
+    @property
+    def gamma(self) -> int:
+        """Number of irreducible components."""
+        return len(self.vertex_ids)
+
+    @property
+    def delta(self) -> int:
+        """Number of nodes."""
+        return len(self.edge_ids)
+
+    @property
+    def first_betti(self) -> int:
+        """First Betti number of the dual graph; zero exactly for trees."""
+        return self.delta - self.gamma + 1
+
+    @property
+    def vertex_degrees(self) -> tuple[int, ...]:
+        """Number of nodes on each component, in vertex-id order."""
+        return self._vertex_degrees
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << self.gamma) - 1
+
+    def index_of(self, vertex_id: int) -> int:
+        try:
+            return self._index_of_id[vertex_id]
+        except KeyError:
+            raise InvalidCurveError(f"unknown vertex id {vertex_id}") from None
+
+    def edge_index_of(self, edge_id: int) -> int:
+        try:
+            return self.edge_ids.index(edge_id)
+        except ValueError:
+            raise InvalidCurveError(f"unknown edge id {edge_id}") from None
+
+    def edge_index_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Endpoints of each edge as ordered vertex-index pairs."""
+        return self._edge_index_pairs
+
+    def adjacency_masks(self) -> tuple[int, ...]:
+        return self._adjacency_masks
+
+    def subset_counts(self, mask: int) -> tuple[int, int]:
+        """(internal node count, boundary node count) of a vertex subset."""
+        internal = boundary = 0
+        for ia, ib in self._edge_index_pairs:
+            a_in = bool(mask & (1 << ia))
+            b_in = bool(mask & (1 << ib))
+            if a_in and b_in:
+                internal += 1
+            elif a_in or b_in:
+                boundary += 1
+        return internal, boundary
+
+    def mask_is_connected(self, mask: int) -> bool:
+        """Whether the induced subgraph on the masked vertices is connected."""
+        return mask != 0 and lowest_component(self._adjacency_masks, mask) == mask
+
+
+class DualGraph(_Multigraph):
+    """Connected loopless multigraph: the genus-free part of a curve.
+
+    ``vertex_ids`` is an iterable of vertex ids and ``edges`` an iterable
+    of ``(id, (end_a, end_b))`` with vertex ids as endpoints.  Ids must be
+    unique positive integers.  Nothing here reads a genus, so one instance
+    serves every genus decoration of the graph (:meth:`decorate`), and the
+    path systems built on it (``pathsys``) are memoized here, once per
+    base.  Instances are immutable after construction and safe to share;
+    they compare by ids and edge ends.
     """
 
     __slots__ = (
         "vertex_ids",
-        "genera",
         "edge_ids",
         "edge_ends",
         "_index_of_id",
         "_edge_index_pairs",
         "_adjacency_masks",
         "_vertex_degrees",
-        "_connected_stats",
         "_path_systems",
         "_simple_graph",
-        "_proofs",
         "_key",
     )
 
     def __init__(
         self,
-        vertices: Iterable[tuple[int, int]],
+        vertex_ids: Iterable[int],
         edges: Iterable[tuple[int, tuple[int, int]]],
     ) -> None:
-        vlist = [(int(i), int(g)) for i, g in vertices]
-        if not vlist:
-            raise InvalidCurveError("a curve needs at least one component")
-        vlist.sort()
-        ids = [i for i, _ in vlist]
-        if len(set(ids)) != len(ids):
-            raise InvalidCurveError("duplicate vertex id")
-        if ids[0] <= 0:
-            raise InvalidCurveError(f"vertex ids must be positive, got {ids[0]}")
-        if len(ids) > MAX_COMPONENTS:
-            raise InvalidCurveError(
-                f"at most {MAX_COMPONENTS} components are supported, got {len(ids)}"
-            )
-        for i, g in vlist:
-            if g < 0:
-                raise InvalidCurveError(f"vertex {i} has negative genus {g}")
-
+        ids = sorted(int(i) for i in vertex_ids)
+        _check_vertex_ids(ids)
         self.vertex_ids: tuple[int, ...] = tuple(ids)
-        self.genera: tuple[int, ...] = tuple(g for _, g in vlist)
         self._index_of_id = {vid: k for k, vid in enumerate(self.vertex_ids)}
 
         elist = []
@@ -165,14 +264,94 @@ class CurveGraph:
         if not self.mask_is_connected(self.full_mask):
             raise InvalidCurveError("the dual graph must be connected")
 
-        self._connected_stats: tuple[SubcurveStat, ...] | None = None
+        # Path systems by base id, and their base-independent part
+        # (``pathsys``).
         self._path_systems: dict[int, object] = {}
-        # Base-independent part of every path system (``pathsys``).
         self._simple_graph: object | None = None
+        self._key = (self.vertex_ids, self.edge_ids, self.edge_ends)
+
+    def decorate(self, genera: Iterable[int]) -> "CurveGraph":
+        """The curve with this dual graph and ``genera`` in vertex-id order.
+
+        The curve shares this object and its index data; only the genera
+        and the per-curve caches are new.
+        """
+        genera = tuple(int(g) for g in genera)
+        if len(genera) != self.gamma:
+            raise InvalidCurveError(
+                f"{len(genera)} genera for {self.gamma} components"
+            )
+        for vid, g in zip(self.vertex_ids, genera):
+            if g < 0:
+                raise InvalidCurveError(f"vertex {vid} has negative genus {g}")
+        curve = CurveGraph.__new__(CurveGraph)
+        curve._decorate(self, genera)
+        return curve
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DualGraph):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
+class CurveGraph(_Multigraph):
+    """Connected loopless multigraph with a genus attached to each vertex.
+
+    ``vertices`` is an iterable of ``(id, genus)`` pairs and ``edges`` an
+    iterable of ``(id, (end_a, end_b))`` with vertex ids as endpoints.  Ids
+    must be unique positive integers.  ``graph`` is the curve's
+    :class:`DualGraph`; the ids, edge ends and index data are that
+    object's.  Instances are immutable after construction and safe to
+    share.
+    """
+
+    __slots__ = (
+        "graph",
+        "vertex_ids",
+        "genera",
+        "edge_ids",
+        "edge_ends",
+        "_index_of_id",
+        "_edge_index_pairs",
+        "_adjacency_masks",
+        "_vertex_degrees",
+        "_connected_stats",
+        "_proofs",
+        "_key",
+    )
+
+    def __init__(
+        self,
+        vertices: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, tuple[int, int]]],
+    ) -> None:
+        vlist = [(int(i), int(g)) for i, g in vertices]
+        vlist.sort()
+        ids = [i for i, _ in vlist]
+        _check_vertex_ids(ids)
+        for i, g in vlist:
+            if g < 0:
+                raise InvalidCurveError(f"vertex {i} has negative genus {g}")
+        self._decorate(DualGraph(ids, edges), tuple(g for _, g in vlist))
+
+    def _decorate(self, graph: DualGraph, genera: tuple[int, ...]) -> None:
+        self.graph = graph
+        self.genera: tuple[int, ...] = genera
+        self.vertex_ids = graph.vertex_ids
+        self.edge_ids = graph.edge_ids
+        self.edge_ends = graph.edge_ends
+        self._index_of_id = graph._index_of_id
+        self._edge_index_pairs = graph._edge_index_pairs
+        self._adjacency_masks = graph._adjacency_masks
+        self._vertex_degrees = graph._vertex_degrees
+        self._connected_stats: tuple[SubcurveStat, ...] | None = None
         # Self-check proofs memoized per curve, keyed by what they prove
         # (``sheafdata.kronecker_point``, ``search``, ``goodness``).
         self._proofs: dict[object, object] = {}
-        self._key = (self.vertex_ids, self.genera, self.edge_ids, self.edge_ends)
+        self._key = (self.vertex_ids, genera, self.edge_ids, self.edge_ends)
 
     @classmethod
     def from_genera(
@@ -186,16 +365,6 @@ class CurveGraph:
     # -- basic invariants ------------------------------------------------
 
     @property
-    def gamma(self) -> int:
-        """Number of irreducible components."""
-        return len(self.vertex_ids)
-
-    @property
-    def delta(self) -> int:
-        """Number of nodes."""
-        return len(self.edge_ids)
-
-    @property
     def arithmetic_genus(self) -> int:
         """Sum of component genera plus nodes minus components plus one."""
         return sum(self.genera) + self.delta - self.gamma + 1
@@ -204,39 +373,6 @@ class CurveGraph:
     def euler_characteristic(self) -> int:
         """chi(O_C) = 1 - p_a(C)."""
         return 1 - self.arithmetic_genus
-
-    @property
-    def first_betti(self) -> int:
-        """First Betti number of the dual graph; zero exactly for trees."""
-        return self.delta - self.gamma + 1
-
-    @property
-    def vertex_degrees(self) -> tuple[int, ...]:
-        """Number of nodes on each component, in vertex-id order."""
-        return self._vertex_degrees
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.gamma) - 1
-
-    def index_of(self, vertex_id: int) -> int:
-        try:
-            return self._index_of_id[vertex_id]
-        except KeyError:
-            raise InvalidCurveError(f"unknown vertex id {vertex_id}") from None
-
-    def edge_index_of(self, edge_id: int) -> int:
-        try:
-            return self.edge_ids.index(edge_id)
-        except ValueError:
-            raise InvalidCurveError(f"unknown edge id {edge_id}") from None
-
-    def edge_index_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Endpoints of each edge as ordered vertex-index pairs."""
-        return self._edge_index_pairs
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        return self._adjacency_masks
 
     # -- subcurves -------------------------------------------------------
 
@@ -258,36 +394,6 @@ class CurveGraph:
                 f"more than the limit of {MAX_SUBSET_MASKS}"
             )
         return range(1, self.full_mask)
-
-    def subset_counts(self, mask: int) -> tuple[int, int]:
-        """(internal node count, boundary node count) of a vertex subset."""
-        internal = boundary = 0
-        for ia, ib in self._edge_index_pairs:
-            a_in = bool(mask & (1 << ia))
-            b_in = bool(mask & (1 << ib))
-            if a_in and b_in:
-                internal += 1
-            elif a_in or b_in:
-                boundary += 1
-        return internal, boundary
-
-    def mask_is_connected(self, mask: int) -> bool:
-        """Whether the induced subgraph on the masked vertices is connected."""
-        if mask == 0:
-            return False
-        seed = mask & -mask
-        reached = seed
-        adj = self._adjacency_masks
-        while True:
-            grown = reached
-            rest = reached
-            while rest:
-                low = rest & -rest
-                grown |= adj[low.bit_length() - 1] & mask
-                rest ^= low
-            if grown == reached:
-                return reached == mask
-            reached = grown
 
     def connected_subcurve_stats(self) -> tuple[SubcurveStat, ...]:
         """Stats for every proper connected subcurve, ascending by bitmask.

@@ -27,6 +27,12 @@ predecessor/successor side of node j, the defect decomposes as
 with ``dA_j`` the boundary size of ``A_j`` in the full multigraph.  This
 must agree exactly with the other two defect formulas for every datum and
 every base.
+
+The construction never reads a genus: a path system is a function of the
+curve's :class:`~nodalpol.curve.DualGraph` and the base.  It is built on
+that graph and memoized there, so every genus decoration of one graph
+object shares one path system per base, and each far-side and
+suffix-closure check of the construction runs once per (graph, base).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .curve import CurveGraph, Subcurve, mask_members
+from .curve import CurveGraph, DualGraph, Subcurve, mask_members
 from .errors import InvalidCurveError, PathIdentityError
 from .polarization import Polarization, delta_structure_scaled, scaled_lambda
 from .sheafdata import SheafDatum, validate_datum
@@ -56,22 +62,24 @@ class PathSystem:
     """Marking, shortest-path tree and edge orientation for one base choice.
 
     Only index data are stored: vertices and edges are named by their
-    position in the curve's id order.  ``edge_plan[j]`` is ``(predecessor
-    index, successor index, position in aj_geometry)`` of edge j, the
-    position being -1 for edges that are not tree edges; ``path_edges[v]``
-    lists the edge indices on the tree path from vertex index v to the
-    base, nearest edge first; ``aj_geometry`` has one entry per marked edge,
-    ascending by id.  The kernels read these directly.
+    position in the id order of ``graph``, the curve's dual graph.
+    ``edge_plan[j]`` is ``(predecessor index, successor index, position in
+    aj_geometry)`` of edge j, the position being -1 for edges that are not
+    tree edges; ``path_edges[v]`` lists the edge indices on the tree path
+    from vertex index v to the base, nearest edge first; ``aj_geometry``
+    has one entry per marked edge, ascending by id.  The kernels read these
+    directly.
 
     ``marking``, ``tree_edges``, ``parent``, ``depth`` and ``orientation``
     are views by vertex and edge id, computed on each access from the index
     data: ``parent`` maps every non-base vertex id to ``(parent id, tree
     edge id)``, ``depth`` every vertex id to its tree depth, and
     ``orientation`` each edge id to its ``(predecessor, successor)`` vertex
-    ids.  Instances are immutable and cached per curve.
+    ids.  Instances are immutable and cached per dual graph, so every genus
+    decoration of one graph object gets the same instance.
     """
 
-    curve: CurveGraph
+    graph: DualGraph
     base: int
     aj_geometry: tuple[AjGeometry, ...]
     edge_plan: tuple[tuple[int, int, int], ...]
@@ -87,8 +95,8 @@ class PathSystem:
 
     @property
     def parent(self) -> dict[int, tuple[int, int]]:
-        ids = self.curve.vertex_ids
-        eids = self.curve.edge_ids
+        ids = self.graph.vertex_ids
+        eids = self.graph.edge_ids
         # A tree edge's successor is the shallower end: the parent.
         return {
             ids[v]: (ids[self.edge_plan[path[0]][1]], eids[path[0]])
@@ -98,13 +106,13 @@ class PathSystem:
 
     @property
     def depth(self) -> dict[int, int]:
-        ids = self.curve.vertex_ids
+        ids = self.graph.vertex_ids
         return {ids[v]: len(path) for v, path in enumerate(self.path_edges)}
 
     @property
     def orientation(self) -> dict[int, tuple[int, int]]:
-        ids = self.curve.vertex_ids
-        eids = self.curve.edge_ids
+        ids = self.graph.vertex_ids
+        eids = self.graph.edge_ids
         return {
             eids[j]: (ids[pred], ids[succ])
             for j, (pred, succ, _) in enumerate(self.edge_plan)
@@ -112,31 +120,31 @@ class PathSystem:
 
     def path_edge_ids(self, vertex_id: int) -> tuple[int, ...]:
         """Tree edges on the minimal path from a vertex to the base."""
-        eids = self.curve.edge_ids
-        return tuple(eids[j] for j in self.path_edges[self.curve.index_of(vertex_id)])
+        eids = self.graph.edge_ids
+        return tuple(eids[j] for j in self.path_edges[self.graph.index_of(vertex_id)])
 
 
 def _simple_graph(
-    curve: CurveGraph,
+    graph: DualGraph,
 ) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """The base-independent part of every path system, once per curve.
+    """The base-independent part of every path system, once per graph.
 
     Returns the marked edge indices, ascending (the lowest edge id of each
     parallel class), and per vertex index its neighbours in the simple
     graph they span as ``(vertex index, edge index)``, ascending by vertex.
     """
-    found = curve._simple_graph
+    found = graph._simple_graph
     if found is None:
         class_rep: dict[tuple[int, int], int] = {}
-        for j, pair in enumerate(curve.edge_index_pairs()):
+        for j, pair in enumerate(graph.edge_index_pairs()):
             class_rep.setdefault(pair, j)
-        neighbours: list[list[tuple[int, int]]] = [[] for _ in range(curve.gamma)]
+        neighbours: list[list[tuple[int, int]]] = [[] for _ in range(graph.gamma)]
         # Pairs are (smaller, larger) and sorted, so each list comes out
         # ascending: first the smaller neighbours, then the larger ones.
         for (ia, ib), j in sorted(class_rep.items()):
             neighbours[ia].append((ib, j))
             neighbours[ib].append((ia, j))
-        found = curve._simple_graph = (
+        found = graph._simple_graph = (
             tuple(sorted(class_rep.values())),
             tuple(tuple(row) for row in neighbours),
         )
@@ -144,14 +152,22 @@ def _simple_graph(
 
 
 def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
-    """Construct (and memoize) the path system rooted at a base vertex."""
-    cache = curve._path_systems
-    if base in cache:
-        return cache[base]  # type: ignore[return-value]
-    base_idx = curve.index_of(base)
-    gamma = curve.gamma
-    full = curve.full_mask
-    marked, neighbours = _simple_graph(curve)
+    """The path system rooted at a base vertex, memoized on the curve's
+    dual graph and shared with every curve on that graph object."""
+    cache = curve.graph._path_systems
+    found = cache.get(base)
+    if found is None:
+        found = cache[base] = _construct(curve.graph, base)
+    return found  # type: ignore[return-value]
+
+
+def _construct(graph: DualGraph, base: int) -> PathSystem:
+    """Build the path system of ``graph`` rooted at ``base``, checking the
+    far sides and suffix closure; :func:`build_path_system` memoizes it."""
+    base_idx = graph.index_of(base)
+    gamma = graph.gamma
+    full = graph.full_mask
+    marked, neighbours = _simple_graph(graph)
 
     # Breadth-first depths on the simple graph (vertices, marking); the
     # list of reached vertices is the queue, in non-decreasing depth.
@@ -184,7 +200,7 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
     for v in reversed(order[1:]):
         subtree[parent[v][0]] |= subtree[v]
 
-    eids = curve.edge_ids
+    eids = graph.edge_ids
     geometry = []
     geometry_pos: dict[int, int] = {}
     for j in marked:
@@ -193,11 +209,11 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
             geometry.append(AjGeometry(eids[j], 0, (), 0, 0))
             continue
         mask = subtree[v]
-        if not curve.mask_is_connected(mask):
+        if not graph.mask_is_connected(mask):
             raise AssertionError("a far-side subcurve is disconnected")
-        if mask != full and not curve.mask_is_connected(full ^ mask):
+        if mask != full and not graph.mask_is_connected(full ^ mask):
             raise AssertionError("a far-side complement is disconnected")
-        internal, boundary = curve.subset_counts(mask)
+        internal, boundary = graph.subset_counts(mask)
         geometry_pos[j] = len(geometry)
         geometry.append(
             AjGeometry(eids[j], mask, mask_members(mask), internal, boundary)
@@ -207,7 +223,7 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
     # the smaller id.  Parallel edges share endpoints, hence the class
     # orientation automatically.
     edge_plan = []
-    for j, (ia, ib) in enumerate(curve.edge_index_pairs()):
+    for j, (ia, ib) in enumerate(graph.edge_index_pairs()):
         pred, succ = (ib, ia) if depth[ib] > depth[ia] else (ia, ib)
         edge_plan.append((pred, succ, geometry_pos.get(j, -1)))
 
@@ -228,15 +244,13 @@ def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
         if v != base_idx and path[1:] != path_edges[parent[v][0]]:
             raise AssertionError("tree paths are not suffix-closed")
 
-    ps = PathSystem(
-        curve=curve,
+    return PathSystem(
+        graph=graph,
         base=base,
         aj_geometry=tuple(geometry),
         edge_plan=tuple(edge_plan),
         path_edges=tuple(path_edges),
     )
-    cache[base] = ps
-    return ps
 
 
 @dataclass(frozen=True)
@@ -276,10 +290,11 @@ def aj_family(
 
     Boundary sizes are counted in the full multigraph.  Connectivity of
     every non-empty subcurve and of its complement is checked when the
-    path system is built.
+    path system is built.  ``ps`` may come from any curve with the same
+    dual graph, since it does not depend on the genera.
     """
-    if ps.curve is not curve and ps.curve != curve:
-        raise InvalidCurveError("path system belongs to a different curve")
+    if ps.graph is not curve.graph and ps.graph != curve.graph:
+        raise InvalidCurveError("path system belongs to a different dual graph")
     lam, q = scaled_lambda(curve, w)
     entries = []
     for geo, scaled in zip(ps.aj_geometry, aj_defects_scaled(ps, lam, q)):

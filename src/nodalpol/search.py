@@ -29,7 +29,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
-from .curve import CurveGraph
+from .curve import CurveGraph, DualGraph, lowest_component
 from .errors import NodalPolError
 from .goodness import GoodnessStatus, conjecture_probe
 from .jsonio import canonical_dumps, curve_to_obj, format_rational
@@ -196,17 +196,7 @@ def _connected_multiplicities(m: tuple[int, ...], gamma: int, pairs) -> bool:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     full = (1 << gamma) - 1
-    reached = 1
-    while True:
-        grown = reached
-        rest = reached
-        while rest:
-            low = rest & -rest
-            grown |= adj[low.bit_length() - 1]
-            rest ^= low
-        if grown == reached:
-            return reached == full
-        reached = grown
+    return lowest_component(adj, full) == full
 
 
 def enumerate_curves(cfg: CampaignConfig) -> Iterator[CurveGraph]:
@@ -214,7 +204,10 @@ def enumerate_curves(cfg: CampaignConfig) -> Iterator[CurveGraph]:
 
     Vertices ascending, then edge count, then a canonical multiplicity
     vector, then a canonical genus vector.  Isomorphism classes are
-    represented once for up to five vertices.
+    represented once for up to five vertices.  The :class:`DualGraph` of a
+    multiplicity vector is built once, and every curve yielded for it is a
+    decoration of that one object, so the curves of a graph come back to
+    back and share its path systems.
     """
     for gamma in range(1, cfg.max_vertices + 1):
         pairs = _pair_list(gamma)
@@ -231,19 +224,16 @@ def enumerate_curves(cfg: CampaignConfig) -> Iterator[CurveGraph]:
                     aut = _stabilizer(m, relabellings)
                     if aut is None:
                         continue
+                edges = []
+                for idx, (i, j) in enumerate(pairs):
+                    for _ in range(m[idx]):
+                        edges.append((len(edges) + 1, (i + 1, j + 1)))
+                graph = DualGraph(range(1, gamma + 1), edges)
                 for genera in product(range(cfg.max_genus + 1), repeat=gamma):
                     # canonical when no relabelling gives a smaller vector
                     if len(aut) > 1 and any(g(genera) < genera for g in aut):
                         continue
-                    edges = []
-                    eid = 1
-                    for idx, (i, j) in enumerate(pairs):
-                        for _ in range(m[idx]):
-                            edges.append((eid, (i + 1, j + 1)))
-                            eid += 1
-                    yield CurveGraph(
-                        [(k + 1, genera[k]) for k in range(gamma)], edges
-                    )
+                    yield graph.decorate(genera)
 
 
 def curve_hash(curve: CurveGraph) -> str:

@@ -12,6 +12,7 @@ import pytest
 
 import nodalpol.balanced
 import nodalpol.cli
+import nodalpol.pathsys
 import nodalpol.polarization
 from nodalpol import CurveGraph, Polarization
 from nodalpol.cli import main
@@ -624,3 +625,25 @@ class TestSubcurveTable:
         expected = next((c, h) for k, c, h in GOLDEN_OUTPUTS if k == case)
         assert _stdout(capsys, case) == expected
         assert len(calls) == 1
+
+
+def test_repeated_analyze_builds_path_systems_cold(capsys, monkeypatch):
+    # Path systems are memoized on a curve's dual graph, which each call
+    # builds afresh from its files: no cache outlives a call, so repeated
+    # calls on the same files repeat the work.
+    built = []
+    construct = nodalpol.pathsys._construct
+
+    def counted(graph, base):
+        built.append(graph)
+        return construct(graph, base)
+
+    monkeypatch.setattr(nodalpol.pathsys, "_construct", counted)
+    case = ("analyze", "--curve", "multigraph5_mixed.json", "--polarization", "w_multigraph5.json")
+    expected = next((c, h) for k, c, h in GOLDEN_OUTPUTS if k == case)
+    assert _stdout(capsys, case) == expected
+    first = len(built)
+    assert first > 0
+    assert _stdout(capsys, case) == expected
+    assert len(built) == 2 * first
+    assert {id(g) for g in built[:first]}.isdisjoint(id(g) for g in built[first:])

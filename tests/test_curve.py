@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import curves
-from nodalpol import CurveGraph
-from nodalpol.curve import MAX_COMPONENTS, mask_members
+from nodalpol import CurveGraph, DualGraph
+from nodalpol.curve import MAX_COMPONENTS, lowest_component, mask_members
 from nodalpol.errors import InvalidCurveError
+from nodalpol.search import _connected_multiplicities, _pair_list
 
 
 def two_genus2() -> CurveGraph:
@@ -235,6 +237,59 @@ def _random_multigraph(rng: random.Random, gamma: int) -> CurveGraph:
     )
 
 
+def _bfs_component(gamma: int, pairs, mask: int) -> int:
+    """Oracle: the vertices of ``mask`` a breadth-first search reaches from
+    its lowest vertex over the edges ``pairs`` (vertex-index pairs)."""
+    if mask == 0:
+        return 0
+    neighbours: list[set[int]] = [set() for _ in range(gamma)]
+    for a, b in pairs:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    start = (mask & -mask).bit_length() - 1
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for u in neighbours[v]:
+            if mask >> u & 1 and u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return sum(1 << v for v in seen)
+
+
+class TestConnectivity:
+    def test_matches_breadth_first_search(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            c = _random_multigraph(rng, rng.randint(1, 12))
+            masks = {0, c.full_mask}
+            masks |= {rng.randrange(c.full_mask + 1) for _ in range(40)}
+            for mask in masks:
+                reached = _bfs_component(c.gamma, c.edge_index_pairs(), mask)
+                assert lowest_component(c.adjacency_masks(), mask) == reached
+                assert c.mask_is_connected(mask) == (mask != 0 and reached == mask)
+
+    def test_long_paths(self):
+        # A chain visited from either end needs one step per vertex.
+        for n in (3, 7, 62):
+            c = CurveGraph.from_genera([0] * n, [(k, k + 1) for k in range(1, n)])
+            assert c.mask_is_connected(c.full_mask)
+            assert not c.mask_is_connected(c.full_mask ^ (1 << (n // 2)))
+            assert lowest_component(c.adjacency_masks(), c.full_mask ^ 1) == c.full_mask ^ 1
+
+    def test_multiplicity_vectors_match_breadth_first_search(self):
+        rng = random.Random(67)
+        for _ in range(500):
+            gamma = rng.randint(2, 6)
+            pairs = _pair_list(gamma)
+            m = tuple(rng.choice((0, 0, 1, 2)) for _ in pairs)
+            edges = [p for p, k in zip(pairs, m) if k]
+            full = (1 << gamma) - 1
+            expected = _bfs_component(gamma, edges, full) == full
+            assert _connected_multiplicities(m, gamma, pairs) == expected, m
+
+
 class TestDotExport:
     def test_single_vertex(self):
         text = CurveGraph.from_genera([3]).to_dot()
@@ -286,6 +341,26 @@ class TestValidation:
     def test_value_equality(self):
         assert two_genus2() == CurveGraph([(2, 2), (1, 2)], [(1, (2, 1))])
         assert two_genus2() != triangle()
+
+    def test_decorate_checks_genera(self):
+        graph = triangle().graph
+        with pytest.raises(InvalidCurveError, match="genera"):
+            graph.decorate([0, 1])
+        with pytest.raises(InvalidCurveError, match="genus"):
+            graph.decorate([0, -1, 0])
+
+    def test_decoration_shares_the_graph(self):
+        graph = DualGraph([3, 1, 2], [(2, (3, 1)), (1, (1, 2)), (3, (2, 3))])
+        curve = graph.decorate([1, 0, 2])
+        assert curve.graph is graph
+        edges = [(1, (1, 2)), (2, (1, 3)), (3, (2, 3))]
+        assert curve == CurveGraph([(1, 1), (2, 0), (3, 2)], edges)
+        assert curve.vertex_ids is graph.vertex_ids
+        assert curve.adjacency_masks() is graph.adjacency_masks()
+        # Equal graphs built separately are equal values, not one object.
+        assert triangle().graph == triangle().graph
+        assert triangle().graph is not triangle().graph
+        assert triangle().graph != path3().graph
 
 
 def test_random_curves_always_valid():

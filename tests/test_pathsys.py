@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+import nodalpol.pathsys
 from conftest import polarized_data, random_curve, random_datum, random_polarization
 from nodalpol import (
+    CampaignConfig,
     CurveGraph,
     Polarization,
     SheafDatum,
@@ -16,6 +19,9 @@ from nodalpol import (
     canonical,
     delta_decomposed,
     delta_general,
+    delta_structure,
+    enumerate_curves,
+    run_campaign,
     star2_conditions,
     verify_path_identities,
 )
@@ -212,3 +218,100 @@ class TestPathIdentities:
             c = random_curve(rng)
             ps = build_path_system(c, rng.randint(1, c.gamma))
             verify_path_identities(c, ps, random_datum(rng, c))
+
+
+def _graph_runs(cfg: CampaignConfig) -> list[list[CurveGraph]]:
+    """The curves ``enumerate_curves`` yields, in runs of one graph object."""
+    runs: list[list[CurveGraph]] = []
+    for c in enumerate_curves(cfg):
+        if runs and runs[-1][0].graph is c.graph:
+            runs[-1].append(c)
+        else:
+            runs.append([c])
+    return runs
+
+
+def _views(ps):
+    return (
+        ps.base,
+        ps.aj_geometry,
+        ps.edge_plan,
+        ps.path_edges,
+        ps.marking,
+        ps.tree_edges,
+        ps.parent,
+        ps.depth,
+        ps.orientation,
+        tuple(ps.path_edge_ids(v) for v in ps.graph.vertex_ids),
+    )
+
+
+class TestSharing:
+    CFG = CampaignConfig(
+        max_vertices=4, max_edges=4, max_genus=2, weight_denominator_bound=3, max_rank=1
+    )
+
+    def test_decorations_share_graph_and_path_systems(self):
+        runs = _graph_runs(self.CFG)
+        graphs = [run[0].graph for run in runs]
+        # One graph object per multiplicity vector, its curves back to back.
+        assert len(set(graphs)) == len(graphs)
+        assert sum(len(run) > 1 for run in runs) > len(runs) // 2
+        for run in runs:
+            assert len({c.genera for c in run}) == len(run)
+            for base in run[0].vertex_ids:
+                ps = build_path_system(run[0], base)
+                assert ps.graph is run[0].graph
+                assert all(build_path_system(c, base) is ps for c in run)
+
+    def test_shared_path_system_matches_a_fresh_build(self):
+        for run in _graph_runs(self.CFG):
+            c = run[-1]
+            fresh = CurveGraph.from_genera([g + 1 for g in c.genera], c.edge_ends)
+            assert fresh.graph == c.graph and fresh.graph is not c.graph
+            for base in c.vertex_ids:
+                shared = build_path_system(c, base)
+                own = build_path_system(fresh, base)
+                assert own is not shared
+                assert _views(own) == _views(shared)
+
+    def test_aj_family_takes_a_siblings_path_system(self):
+        rng = random.Random(71)
+        runs = [run for run in _graph_runs(self.CFG) if run[0].gamma == 3]
+        for run, other in zip(runs, runs[1:]):
+            for c in run[:4]:
+                w = random_polarization(rng, c.gamma)
+                for base in c.vertex_ids:
+                    for sibling in run[:4]:
+                        fam = aj_family(c, w, build_path_system(sibling, base))
+                        for entry in fam.non_empty():
+                            assert entry.subcurve.owner is c
+                            assert entry.delta == delta_structure(entry.subcurve, w)
+                    with pytest.raises(InvalidCurveError, match="dual graph"):
+                        aj_family(c, w, build_path_system(other[0], base))
+
+    def test_one_cold_build_per_graph_and_base(self, monkeypatch):
+        # The benchmark's campaign_exhaustive bounds: 1,201 curves on 34
+        # dual graphs with 113 components between them.
+        seen: Counter = Counter()
+        construct = nodalpol.pathsys._construct
+
+        def counted(graph, base):
+            seen[graph, base] += 1
+            return construct(graph, base)
+
+        monkeypatch.setattr(nodalpol.pathsys, "_construct", counted)
+        report = run_campaign(
+            CampaignConfig(
+                max_vertices=4,
+                max_edges=5,
+                max_genus=2,
+                weight_denominator_bound=5,
+                max_rank=12,
+                seed=1,
+            )
+        )
+        assert report.consistent and report.curves_enumerated == 1201
+        assert set(seen.values()) == {1}
+        assert len(seen) == 113
+        assert len({graph for graph, _ in seen}) == 34
