@@ -12,11 +12,11 @@ from .balanced import MultidegreeBundle, balanced_stability_bridge, is_balanced,
 from .curve import CurveClass, CurveGraph, DualGraph, Subcurve
 from .errors import NodalPolError
 from .goodness import GoodnessStatus, GoodnessVerdict, conjecture_probe, decide, sufficient_check
-from .pathsys import AjFamily, PathSystem, aj_family, build_path_system, delta_decomposed, star2_conditions, verify_path_identities
-from .polarization import Polarization, StabilityPolytope, canonical, delta_structure, enumerate_weight_grid, from_multidegree, lambda_vector, stability_polytope
+from .pathsys import AjFamily, PathSystem, aj_family, build_path_system, delta_decomposed, verify_path_identities
+from .polarization import Polarization, canonical, delta_structure, enumerate_weight_grid, from_multidegree, lambda_vector
 from .search import CampaignConfig, CampaignReport, enumerate_curves, run_campaign, sample_polarizations
 from .sheafdata import SheafDatum, SheafSlopeReport, delta_general, delta_residual, is_locally_free, restrict, restricted_wdeg, slope_report, tensor_by_multidegree, validate_datum
-from .stability import StabilityVerdict, oc_stability, rank1_stability
+from .stability import StabilityPolytope, StabilityVerdict, oc_stability, rank1_stability, stability_polytope
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "sample_polarizations",
     "slope_report",
     "stability_polytope",
-    "star2_conditions",
     "sufficient_check",
     "tensor_by_multidegree",
     "validate_datum",

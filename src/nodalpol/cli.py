@@ -22,15 +22,10 @@ from . import jsonio
 from .balanced import MultidegreeBundle, balance_report, balanced_stability_bridge
 from .errors import NodalPolError
 from .goodness import GoodnessStatus, GoodnessVerdict, conjecture_probe, decide
-from .pathsys import aj_family, build_path_system
-from .polarization import (
-    canonical,
-    scaled_lambda,
-    stability_polytope,
-    subcurve_defects_scaled,
-)
+from .pathsys import aj_defects_scaled, build_path_system
+from .polarization import canonical, scaled_lambda, subcurve_defects_scaled
 from .search import CampaignConfig, run_campaign
-from .stability import StabilityVerdict, oc_stability
+from .stability import StabilityVerdict, oc_stability, stability_polytope
 
 SUBCURVE_TABLE_LIMIT = 12  # 2^gamma growth; larger curves get a notice
 
@@ -185,35 +180,20 @@ def _cmd_paths(args: argparse.Namespace) -> int:
             str(e): list(ends) for e, ends in sorted(ps.orientation.items())
         },
     }
-    table = []
+    defects = None
     if args.polarization is not None:
-        w = jsonio.load_polarization(args.polarization)
-        fam = aj_family(curve, w, ps)
-        for entry in fam.entries:
-            table.append(
-                {
-                    "edge": entry.edge_id,
-                    "members": (
-                        [] if entry.subcurve is None else list(entry.subcurve.member_ids)
-                    ),
-                    "boundary": entry.boundary,
-                    "delta": (
-                        None
-                        if entry.delta is None
-                        else jsonio.format_rational(entry.delta)
-                    ),
-                }
-            )
-    else:
-        for geo in ps.aj_geometry:
-            members = [curve.vertex_ids[k] for k in geo.members]
-            table.append(
-                {
-                    "edge": geo.edge_id,
-                    "members": members,
-                    "boundary": geo.boundary if members else None,
-                }
-            )
+        lam, q = scaled_lambda(curve, jsonio.load_polarization(args.polarization))
+        defects = aj_defects_scaled(ps, lam, q)
+    table = []
+    for pos, geo in enumerate(ps.aj_geometry):
+        row: dict = {
+            "edge": geo.edge_id,
+            "members": [curve.vertex_ids[k] for k in geo.members],
+            "boundary": geo.boundary if geo.mask else None,
+        }
+        if defects is not None:
+            row["delta"] = jsonio.format_scaled(defects[pos], q) if geo.mask else None
+        table.append(row)
     obj["far_side_subcurves"] = table
     _print(obj)
     return 0

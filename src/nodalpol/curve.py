@@ -159,12 +159,6 @@ class _Multigraph:
         except KeyError:
             raise InvalidCurveError(f"unknown vertex id {vertex_id}") from None
 
-    def edge_index_of(self, edge_id: int) -> int:
-        try:
-            return self.edge_ids.index(edge_id)
-        except ValueError:
-            raise InvalidCurveError(f"unknown edge id {edge_id}") from None
-
     def edge_index_pairs(self) -> tuple[tuple[int, int], ...]:
         """Endpoints of each edge as ordered vertex-index pairs."""
         return self._edge_index_pairs
@@ -603,11 +597,6 @@ class Subcurve:
     @property
     def is_connected(self) -> bool:
         return self.owner.mask_is_connected(self.mask)
-
-    @property
-    def internal_node_count(self) -> int:
-        """Nodes with both branches inside the subcurve."""
-        return self.owner.subset_counts(self.mask)[0]
 
     @property
     def boundary_size(self) -> int:

@@ -34,8 +34,9 @@ from typing import Any, Sequence
 
 from .curve import CurveGraph
 from .errors import InvalidCurveError, InvalidPolarizationError, SchemaError
-from .polarization import Polarization, StabilityPolytope
+from .polarization import Polarization
 from .sheafdata import SheafDatum
+from .stability import StabilityPolytope
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
@@ -53,8 +54,11 @@ def parse_rational(text: object) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise SchemaError(f"malformed rational {text!r}; use \"p/q\" or \"p\"")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise SchemaError(f"rational too long: {exc}") from None
     if den <= 0:
         raise SchemaError(f"rational {text!r} needs a positive denominator")
     return Fraction(num, den)
@@ -174,7 +178,9 @@ def subcurve_table(curve: CurveGraph, defects: Sequence[int], q: int) -> Prerend
 def _loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers longer than int()
+        # converts; RecursionError, arrays or objects nested too deeply.
         raise SchemaError(f"invalid JSON: {exc}") from None
 
 
@@ -333,7 +339,3 @@ def load_curve(path: str | Path) -> CurveGraph:
 
 def load_polarization(path: str | Path) -> Polarization:
     return polarization_from_obj(_loads(Path(path).read_text(encoding="utf-8")))
-
-
-def load_sheaf(curve: CurveGraph, path: str | Path) -> SheafDatum:
-    return sheaf_from_obj(curve, _loads(Path(path).read_text(encoding="utf-8")))

@@ -312,20 +312,6 @@ def aj_family(
     return AjFamily(path_system=ps, entries=tuple(entries))
 
 
-def star2_conditions(fam: AjFamily) -> list[tuple[int, bool]]:
-    """The two-sided defect window for each non-empty far-side subcurve.
-
-    An entry is satisfied when
-    ``(boundary - 1)/2 < delta(O_{A_j}) < (boundary + 1)/2``.
-    """
-    out = []
-    for entry in fam.non_empty():
-        lo = Fraction(entry.boundary - 1, 2)  # type: ignore[operator]
-        hi = Fraction(entry.boundary + 1, 2)  # type: ignore[operator]
-        out.append((entry.edge_id, lo < entry.delta < hi))
-    return out
-
-
 def delta_decomposed_scaled(
     ps: PathSystem, q: int, aj: Sequence[int], e: SheafDatum
 ) -> int:

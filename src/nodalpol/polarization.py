@@ -1,4 +1,4 @@
-"""Exact rational polarizations and the weight windows that stabilize O_C.
+"""Exact rational polarizations, their lambda vectors and weight grids.
 
 A polarization assigns a positive rational weight to each component, with
 the weights summing to one.  Attached to a polarized curve is the lambda
@@ -29,7 +29,6 @@ from .errors import (
     CanonicalUndefinedError,
     InvalidPolarizationError,
     NonAmpleMultidegreeError,
-    UnsupportedCurveError,
 )
 
 LambdaVector = tuple[Fraction, ...]
@@ -210,41 +209,6 @@ def delta_structure(b: Subcurve, w: Polarization) -> Fraction:
     return Fraction(delta_structure_scaled(lam, q, b.member_indices, internal), q)
 
 
-@dataclass(frozen=True)
-class WeightWindow:
-    """Open interval constraint lower < sum(w_i, i in B) < upper."""
-
-    subcurve: Subcurve
-    lower: Fraction
-    upper: Fraction
-
-    def holds(self, w: Polarization, strict: bool = True) -> bool:
-        total = sum(
-            (w.weights[k] for k in self.subcurve.member_indices), Fraction(0)
-        )
-        if strict:
-            return self.lower < total < self.upper
-        return self.lower <= total <= self.upper
-
-
-@dataclass(frozen=True)
-class StabilityPolytope:
-    """H-representation of the weight region where O_C is stable.
-
-    One window per proper connected subcurve, with complementary pairs
-    deduplicated.  ``witness`` is an interior rational point when one was
-    found; its absence is reported as "no witness found", never as
-    emptiness.
-    """
-
-    curve: CurveGraph
-    windows: tuple[WeightWindow, ...]
-    witness: Polarization | None
-
-    def accepts(self, w: Polarization, strict: bool = True) -> bool:
-        return all(win.holds(w, strict=strict) for win in self.windows)
-
-
 def enumerate_weight_grid(gamma: int, max_denominator: int) -> Iterator[Polarization]:
     """All polarizations with common denominator up to the bound.
 
@@ -272,49 +236,3 @@ def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(1, total - parts + 2):
         for rest in _positive_compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def stability_polytope(
-    curve: CurveGraph, witness_denominator_bound: int = 24
-) -> StabilityPolytope:
-    """Weight windows equivalent to stability of O_C, plus a witness point.
-
-    Requires arithmetic genus at least 2; smaller genera are handled by the
-    direct stability shortcuts instead.  The witness is the canonical
-    polarization when the curve is stable and that point is interior,
-    otherwise the first interior point of the weight grid with denominator
-    up to the bound, otherwise absent.
-    """
-    pa = curve.arithmetic_genus
-    if pa < 2:
-        raise UnsupportedCurveError(
-            "the weight-window description needs arithmetic genus >= 2"
-        )
-    P = pa - 1
-    windows = []
-    seen_masks: set[int] = set()
-    full = curve.full_mask
-    for stat in curve.connected_subcurve_stats():
-        if (full ^ stat.mask) in seen_masks:
-            continue
-        seen_masks.add(stat.mask)
-        windows.append(
-            WeightWindow(
-                Subcurve(curve, stat.mask),
-                Fraction(stat.genus - 1, P),
-                Fraction(stat.genus - 1 + stat.boundary, P),
-            )
-        )
-    polytope = StabilityPolytope(curve, tuple(windows), None)
-
-    witness: Polarization | None = None
-    if curve.classify().stable:
-        eta = canonical(curve)
-        if polytope.accepts(eta):
-            witness = eta
-    if witness is None:
-        for w in enumerate_weight_grid(curve.gamma, witness_denominator_bound):
-            if polytope.accepts(w):
-                witness = w
-                break
-    return StabilityPolytope(curve, tuple(windows), witness)

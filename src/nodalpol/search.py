@@ -86,12 +86,6 @@ class SplitMix64:
             if v < limit:
                 return v % n
 
-    def randint(self, lo: int, hi: int) -> int:
-        return lo + self.randrange(hi - lo + 1)
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
 
 @dataclass(frozen=True)
 class CampaignConfig:

@@ -1,4 +1,5 @@
-"""Slope stability of O_C and of rank-one depth-one sheaves.
+"""Slope stability of O_C and of rank-one depth-one sheaves, and the
+weight polytope on which O_C is stable.
 
 O_C is w-stable exactly when ``0 < delta_structure(B) < delta_B`` for every
 proper connected subcurve B, w-semistable when the non-strict inequalities
@@ -9,22 +10,40 @@ recomputed here and checked against the general enumeration on every call.
 
 Strictness at exact rational equality is decided exactly; the
 semistable-but-not-stable verdict is reachable and never approximated.
+
+The same windows, read as constraints on the weights, cut out the
+stability polytope.  For a connected B of arithmetic genus ``p_a(B)``,
+
+    delta_structure(B) = 1 - p_a(B) + (p_a - 1) * sum(w_i, i in B),
+
+and when ``p_a >= 2`` the condition ``0 < delta_structure(B) < delta_B`` is
+the window
+
+    p_a(B) - 1 < (p_a - 1) * sum(w_i, i in B) < p_a(B) - 1 + delta_B.
+
+A point lies inside every open window exactly when
+:func:`oc_stability` calls it stable, and inside every closed one exactly
+when it calls it semistable, so the polytope has no membership test of its
+own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .curve import CurveGraph, Subcurve
-from .errors import UnsupportedRankError
+from .curve import CurveGraph, Subcurve, mask_members
+from .errors import UnsupportedCurveError, UnsupportedRankError
 from .polarization import (
     Polarization,
     ScaledLambda,
+    canonical,
+    enumerate_weight_grid,
     scaled_lambda,
     subcurve_defects_scaled,
 )
-from .sheafdata import SheafDatum, slope_report, validate_datum
+from .sheafdata import SheafDatum, restrict_scaled, validate_datum
 
 
 @dataclass(frozen=True)
@@ -114,34 +133,22 @@ def rank1_stability(
         return StabilityVerdict(stable=True, semistable=True)
 
     lam, q = scaled_lambda(curve, w)
-    # Everything scaled by q: wdeg(E_B)*q stays integral because all ranks
-    # are one and q is the weights' common denominator.
+    # Everything scaled by q.  With every rank one, delta(E) is the node
+    # count minus the stalk ranks, so q*wdeg(E) = q*(sum(d) + delta - sum(s)).
     wq = w.numerators
-    wdeg_total_q = slope_report(curve, w, e).wdeg * q
-    assert wdeg_total_q.denominator == 1
-    wdeg_total_q = int(wdeg_total_q)
-
-    edge_pairs = curve.edge_index_pairs()
-    stalk = e.stalk_free
+    wdeg_total_q = q * (sum(e.degrees) + curve.delta - sum(e.stalk_free))
     stable = True
     semistable = True
     failing_mask: int | None = None
     failing_value: Fraction | None = None
     for mask in curve.proper_masks("rank-one stability"):
-        # q*wdeg(E_B) = sum over members of q*(lambda_i + d_i) minus q*s_j
-        # over internal nodes; q*wrank(E_B) = sum of scaled weights.
-        lhs = 0
+        # q*wdeg(E_B) = q*delta(E_B) + q*sum(d_i, i in B), and
+        # q*wrank(E_B) = the sum of the scaled weights over B.
+        lhs = restrict_scaled(curve, lam, q, e, mask)
         wrank_q = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            lhs += lam[k] + q * e.degrees[k]
+        for k in mask_members(mask):
+            lhs += q * e.degrees[k]
             wrank_q += wq[k]
-            rest ^= low
-        for j, (ia, ib) in enumerate(edge_pairs):
-            if mask & (1 << ia) and mask & (1 << ib):
-                lhs -= q * stalk[j]
         # margin = wdeg(E_B) - wdeg(E) * wrank(E_B), scaled by q^2
         margin = lhs * q - wdeg_total_q * wrank_q
         if margin <= 0:
@@ -160,3 +167,68 @@ def rank1_stability(
         failing_subcurve=Subcurve(curve, failing_mask),  # type: ignore[arg-type]
         failing_value=failing_value,
     )
+
+
+@dataclass(frozen=True)
+class WeightWindow:
+    """Open interval constraint lower < sum(w_i, i in B) < upper."""
+
+    subcurve: Subcurve
+    lower: Fraction
+    upper: Fraction
+
+
+@dataclass(frozen=True)
+class StabilityPolytope:
+    """H-representation of the weight region where O_C is stable.
+
+    One window per proper connected subcurve, with complementary pairs
+    deduplicated.  ``witness`` is an interior rational point when one was
+    found; its absence is reported as "no witness found", never as
+    emptiness.
+    """
+
+    curve: CurveGraph
+    windows: tuple[WeightWindow, ...]
+    witness: Polarization | None
+
+
+def stability_polytope(
+    curve: CurveGraph, witness_denominator_bound: int = 24
+) -> StabilityPolytope:
+    """Weight windows equivalent to stability of O_C, plus a witness point.
+
+    Requires arithmetic genus at least 2; smaller genera are handled by the
+    direct stability shortcuts instead.  A subcurve whose complement is
+    connected and already has a window gets none: ``delta_B - delta(O_B)``
+    is the complement's defect, so the two windows are the same constraint.
+    The witness is the first point that :func:`oc_stability` calls stable
+    (the module docstring says why that is membership): the canonical
+    polarization when the curve is stable, then the weight grid with
+    denominator up to the bound, in grid order; otherwise it is absent.
+    """
+    pa = curve.arithmetic_genus
+    if pa < 2:
+        raise UnsupportedCurveError(
+            "the weight-window description needs arithmetic genus >= 2"
+        )
+    P = pa - 1
+    windows = []
+    seen_masks: set[int] = set()
+    full = curve.full_mask
+    for stat in curve.connected_subcurve_stats():
+        if (full ^ stat.mask) in seen_masks:
+            continue
+        seen_masks.add(stat.mask)
+        windows.append(
+            WeightWindow(
+                Subcurve(curve, stat.mask),
+                Fraction(stat.genus - 1, P),
+                Fraction(stat.genus - 1 + stat.boundary, P),
+            )
+        )
+    candidates = enumerate_weight_grid(curve.gamma, witness_denominator_bound)
+    if curve.classify().stable:
+        candidates = chain((canonical(curve),), candidates)
+    witness = next((w for w in candidates if oc_stability(curve, w).stable), None)
+    return StabilityPolytope(curve, tuple(windows), witness)

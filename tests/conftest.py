@@ -1,4 +1,5 @@
-"""Shared random generators and hypothesis strategies for the test suite."""
+"""Shared random generators, hypothesis strategies and Fraction oracles
+for the test suite."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from nodalpol import CurveGraph, Polarization, SheafDatum
+from nodalpol import AjFamily, CurveGraph, Polarization, SheafDatum, StabilityPolytope
 
 
 def random_curve(
@@ -50,6 +51,33 @@ def random_datum(
     ]
     degrees = [rng.randint(-3, 3) if r else 0 for r in ranks]
     return SheafDatum(tuple(ranks), tuple(degrees), tuple(stalk))
+
+
+def polytope_accepts(
+    polytope: StabilityPolytope, w: Polarization, strict: bool = True
+) -> bool:
+    """Oracle: ``w`` lies in every window of the polytope, open or closed,
+    summed in Fractions over each window's subcurve."""
+    for win in polytope.windows:
+        total = sum((w.weights[k] for k in win.subcurve.member_indices), Fraction(0))
+        inside = (
+            win.lower < total < win.upper if strict else win.lower <= total <= win.upper
+        )
+        if not inside:
+            return False
+    return True
+
+
+def star2_conditions(fam: AjFamily) -> list[tuple[int, bool]]:
+    """Oracle: the two-sided defect window of each non-empty far-side
+    subcurve, ``(boundary - 1)/2 < delta(O_{A_j}) < (boundary + 1)/2``, in
+    Fractions."""
+    out = []
+    for entry in fam.non_empty():
+        lo = Fraction(entry.boundary - 1, 2)  # type: ignore[operator]
+        hi = Fraction(entry.boundary + 1, 2)  # type: ignore[operator]
+        out.append((entry.edge_id, lo < entry.delta < hi))
+    return out
 
 
 @st.composite

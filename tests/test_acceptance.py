@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from conftest import random_curve, random_datum, random_polarization
+from conftest import random_curve, random_datum, random_polarization, star2_conditions
 from nodalpol import (
     CampaignConfig,
     CurveGraph,
@@ -36,7 +36,6 @@ from nodalpol import (
     oc_stability,
     restrict,
     run_campaign,
-    star2_conditions,
     tensor_by_multidegree,
     validate_datum,
     verify_path_identities,

@@ -155,6 +155,40 @@ class TestBadInputExitCode:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "command, curve, weights",
+        [
+            # Integers past Python's 4,300-digit limit on int() of a string.
+            (
+                "canonical",
+                '{"vertices": [{"id": 1, "genus": %s}], "edges": []}' % ("9" * 5000),
+                None,
+            ),
+            (
+                "stability",
+                '{"vertices": [{"id": 1, "genus": 2}], "edges": []}',
+                '{"weights": ["%s/%s"]}' % ("9" * 5000, "9" * 5000),
+            ),
+            # Nesting deeper than the JSON decoder recurses.
+            ("canonical", "[" * 200_000 + "]" * 200_000, None),
+        ],
+        ids=["long-genus", "long-weight", "deep-nesting"],
+    )
+    def test_oversized_input(self, capsys, tmp_path, command, curve, weights):
+        curve_path = tmp_path / "curve.json"
+        curve_path.write_text(curve)
+        argv = [command, "--curve", str(curve_path)]
+        if weights is not None:
+            pol_path = tmp_path / "w.json"
+            pol_path.write_text(weights)
+            argv += ["--polarization", str(pol_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
 
 class TestOtherCommands:
     def test_canonical(self, capsys):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_curve, random_datum, random_polarization
+from conftest import random_curve, random_datum, random_polarization, star2_conditions
 from nodalpol import (
     CurveGraph,
     GoodnessStatus,
@@ -70,6 +71,30 @@ class TestSufficientCheck:
     def test_single_component_certifies_vacuously(self):
         c = CurveGraph.from_genera([3])
         assert sufficient_check(c, Polarization.of([1])) == 1
+
+    def test_first_base_matches_fraction_windows(self):
+        # The integer windows of sufficient_check against the Fraction
+        # oracle: the first base whose far sides all pass, or none.
+        rng = random.Random(73)
+        found: Counter = Counter()
+        for _ in range(1500):
+            c = random_curve(rng, max_gamma=5, max_extra_edges=3, max_genus=2)
+            if c.classify().stable and rng.random() < 0.3:
+                w = canonical(c)
+            else:
+                w = random_polarization(rng, c.gamma)
+            expected = None
+            for base in c.vertex_ids:
+                fam = aj_family(c, w, build_path_system(c, base))
+                if all(ok for _, ok in star2_conditions(fam)):
+                    expected = base
+                    break
+            assert sufficient_check(c, w) == expected
+            if expected is None:
+                found["none"] += 1
+            else:
+                found["first" if expected == c.vertex_ids[0] else "later"] += 1
+        assert min(found["none"], found["first"], found["later"]) >= 10, found
 
 
 def minimal_defect(curve: CurveGraph, w: Polarization, ranks) -> Fraction:

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 
 import nodalpol.pathsys
-from conftest import polarized_data, random_curve, random_datum, random_polarization
+from conftest import (
+    polarized_data,
+    random_curve,
+    random_datum,
+    random_polarization,
+    star2_conditions,
+)
 from nodalpol import (
     CampaignConfig,
     CurveGraph,
@@ -22,7 +28,6 @@ from nodalpol import (
     delta_structure,
     enumerate_curves,
     run_campaign,
-    star2_conditions,
     verify_path_identities,
 )
 from nodalpol.errors import InvalidCurveError

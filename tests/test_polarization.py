@@ -7,7 +7,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import polarized_curves, random_curve, random_polarization
+from conftest import (
+    polarized_curves,
+    polytope_accepts,
+    random_curve,
+    random_polarization,
+)
 from nodalpol import (
     CampaignConfig,
     CurveGraph,
@@ -18,6 +23,7 @@ from nodalpol import (
     enumerate_weight_grid,
     from_multidegree,
     lambda_vector,
+    oc_stability,
     stability_polytope,
 )
 from nodalpol.curve import mask_members
@@ -233,7 +239,7 @@ class TestStabilityPolytope:
             if not c.classify().stable:
                 continue
             polytope = stability_polytope(c)
-            assert polytope.accepts(canonical(c), strict=True)
+            assert polytope_accepts(polytope, canonical(c), strict=True)
             assert polytope.witness is not None
             checked += 1
         assert checked > 100
@@ -248,4 +254,30 @@ class TestStabilityPolytope:
         c = CurveGraph.from_genera([1, 0, 1], [(1, 2), (2, 3)])
         p = stability_polytope(c)
         assert p.witness is not None
-        assert p.accepts(p.witness, strict=True)
+        assert polytope_accepts(p, p.witness, strict=True)
+
+    def test_membership_is_the_stability_verdict(self):
+        # The Fraction windows against oc_stability at every grid point up
+        # to denominator 9: open windows are stability, closed ones
+        # semistability.  The witness is the first candidate the windows
+        # accept: the canonical point on stable curves, then the grid.
+        rng = random.Random(71)
+        curves = points = stable = unstable = 0
+        while curves < 80:
+            c = random_curve(rng, max_gamma=5, max_extra_edges=3, max_genus=2)
+            if c.arithmetic_genus < 2:
+                continue
+            p = stability_polytope(c, witness_denominator_bound=9)
+            grid = list(enumerate_weight_grid(c.gamma, 9))
+            for w in grid:
+                verdict = oc_stability(c, w)
+                assert polytope_accepts(p, w, strict=True) == verdict.stable
+                assert polytope_accepts(p, w, strict=False) == verdict.semistable
+                stable += verdict.stable
+                unstable += not verdict.stable
+            candidates = ([canonical(c)] if c.classify().stable else []) + grid
+            accepted = [w for w in candidates if polytope_accepts(p, w)]
+            assert p.witness == (accepted[0] if accepted else None)
+            curves += 1
+            points += len(grid)
+        assert points > 3000 and stable > 300 and unstable > 300
