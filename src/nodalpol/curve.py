@@ -8,11 +8,13 @@ components.  Parallel edges are allowed: two components may meet in any
 number of nodes.
 
 The genus-free part of a curve is a :class:`DualGraph`: ids, edge ends,
-index pairs, adjacency masks and degrees, plus what ``pathsys`` builds on
-them.  A :class:`CurveGraph` is a dual graph decorated with a genus vector
-(:meth:`DualGraph.decorate`); every decoration of one graph object shares
-that object and its index data.  Graphs are shared only by construction:
-two curves built separately from the same ids and edges get two graphs.
+index pairs, adjacency masks and degrees.  A :class:`CurveGraph` is a dual
+graph decorated with a genus vector (:meth:`DualGraph.decorate`); every
+decoration of one graph object shares that object and its index data.
+Graphs are shared only by construction: two curves built separately from
+the same ids and edges get two graphs.  Work derived from a graph or a
+curve is kept on that object by :meth:`_Multigraph.memo`; no other module
+touches a cache slot.
 
 Subcurves (unions of components) are stored as bitmasks over the vertex
 positions, ordered by ascending vertex id.  Every quantity computed here is
@@ -22,7 +24,7 @@ a small integer, so all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidCurveError, UnsupportedCurveError
 
@@ -31,9 +33,10 @@ from .errors import InvalidCurveError, UnsupportedCurveError
 # and cycles up to this bound, still exponential on dense curves and stars.
 MAX_COMPONENTS = 62
 
-# The balance check and rank-one stability still visit every subset of
-# components.  They refuse a curve with more subsets than this (gamma > 18)
-# with an UnsupportedCurveError, instead of running for minutes or hours.
+# The balance check and rank-one stability visit every subset of components,
+# the other scans every connected one.  A curve with more of them than this
+# is refused with an UnsupportedCurveError, instead of running for minutes
+# or hours, so every curve with at most 18 components answers.
 MAX_SUBSET_MASKS = 1 << 18
 
 
@@ -117,17 +120,35 @@ def _check_vertex_ids(ids: Sequence[int]) -> None:
 
 class _Multigraph:
     """Genus-free queries, shared by :class:`DualGraph` and
-    :class:`CurveGraph`, which holds its graph's index data."""
+    :class:`CurveGraph`, which holds its graph's index data.
 
-    __slots__ = ()
+    Each object's one cache is its :meth:`memo`.  A graph keeps
+    ``"simple graph"`` and ``("path system", base id)`` (``pathsys``), so
+    every decoration shares one path system per base.  A curve keeps its
+    self-check proofs: ``"point"`` (``sheafdata.kronecker_point``),
+    ``("residual",)``, ``("path", base id)`` and ``("restrict", mask)``
+    (``search``), and ``("witness", mask)`` (``goodness``).
+    """
 
-    vertex_ids: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-    edge_ends: tuple[tuple[int, int], ...]
-    _index_of_id: dict[int, int]
-    _edge_index_pairs: tuple[tuple[int, int], ...]
-    _adjacency_masks: tuple[int, ...]
-    _vertex_degrees: tuple[int, ...]
+    __slots__ = (
+        "vertex_ids",
+        "edge_ids",
+        "edge_ends",
+        "_index_of_id",
+        "_edge_index_pairs",
+        "_adjacency_masks",
+        "_vertex_degrees",
+        "_memo",
+        "_key",
+    )
+
+    def memo(self, key: object, compute: Callable[..., Any], *args: object) -> Any:
+        """``compute(self, *args)``, computed on first use and kept on this
+        object under ``key`` for as long as the object lives."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute(self, *args)
+        return memo[key]
 
     @property
     def gamma(self) -> int:
@@ -189,24 +210,12 @@ class DualGraph(_Multigraph):
     ``vertex_ids`` is an iterable of vertex ids and ``edges`` an iterable
     of ``(id, (end_a, end_b))`` with vertex ids as endpoints.  Ids must be
     unique positive integers.  Nothing here reads a genus, so one instance
-    serves every genus decoration of the graph (:meth:`decorate`), and the
-    path systems built on it (``pathsys``) are memoized here, once per
-    base.  Instances are immutable after construction and safe to share;
-    they compare by ids and edge ends.
+    serves every genus decoration of the graph (:meth:`decorate`).
+    Instances are immutable after construction and safe to share; they
+    compare by ids and edge ends.
     """
 
-    __slots__ = (
-        "vertex_ids",
-        "edge_ids",
-        "edge_ends",
-        "_index_of_id",
-        "_edge_index_pairs",
-        "_adjacency_masks",
-        "_vertex_degrees",
-        "_path_systems",
-        "_simple_graph",
-        "_key",
-    )
+    __slots__ = ()
 
     def __init__(
         self,
@@ -258,10 +267,7 @@ class DualGraph(_Multigraph):
         if not self.mask_is_connected(self.full_mask):
             raise InvalidCurveError("the dual graph must be connected")
 
-        # Path systems by base id, and their base-independent part
-        # (``pathsys``).
-        self._path_systems: dict[int, object] = {}
-        self._simple_graph: object | None = None
+        self._memo: dict[object, object] = {}
         self._key = (self.vertex_ids, self.edge_ids, self.edge_ends)
 
     def decorate(self, genera: Iterable[int]) -> "CurveGraph":
@@ -302,20 +308,7 @@ class CurveGraph(_Multigraph):
     share.
     """
 
-    __slots__ = (
-        "graph",
-        "vertex_ids",
-        "genera",
-        "edge_ids",
-        "edge_ends",
-        "_index_of_id",
-        "_edge_index_pairs",
-        "_adjacency_masks",
-        "_vertex_degrees",
-        "_connected_stats",
-        "_proofs",
-        "_key",
-    )
+    __slots__ = ("graph", "genera", "_connected_stats")
 
     def __init__(
         self,
@@ -342,9 +335,7 @@ class CurveGraph(_Multigraph):
         self._adjacency_masks = graph._adjacency_masks
         self._vertex_degrees = graph._vertex_degrees
         self._connected_stats: tuple[SubcurveStat, ...] | None = None
-        # Self-check proofs memoized per curve, keyed by what they prove
-        # (``sheafdata.kronecker_point``, ``search``, ``goodness``).
-        self._proofs: dict[object, object] = {}
+        self._memo: dict[object, object] = {}
         self._key = (self.vertex_ids, genera, self.edge_ids, self.edge_ends)
 
     @classmethod
@@ -405,6 +396,7 @@ class CurveGraph(_Multigraph):
         addition per entry, as ``polarization.subcurve_defects_scaled``
         does.  Computed once per curve and reused by the stability and
         goodness checks; empty when the curve has a single component.
+        Refused once more than ``MAX_SUBSET_MASKS`` subcurves are grown.
         """
         if self._connected_stats is None:
             gamma = self.gamma
@@ -440,6 +432,10 @@ class CurveGraph(_Multigraph):
                 while stack:
                     mask, reach, banned, parent, added, internal, dsum, esum = stack.pop()
                     here = len(grown)
+                    if here == MAX_SUBSET_MASKS:
+                        raise UnsupportedCurveError(
+                            f"more than {MAX_SUBSET_MASKS} connected subcurves"
+                        )
                     grown.append(
                         (
                             mask,

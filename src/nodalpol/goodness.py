@@ -163,7 +163,7 @@ def _witness_from_failing_subcurve(
     else:
         mask = curve.full_mask ^ b.mask
         expected = b.boundary_size - verdict.failing_value
-    datum = _check_witness(curve, mask)
+    datum = curve.memo(("witness", mask), _check_witness, mask)
     lam, q = scaled
     value = delta_general_scaled(curve, lam, q, datum)
     if value * expected.denominator != expected.numerator * q:
@@ -175,7 +175,7 @@ def _witness_from_failing_subcurve(
 
 def _check_witness(curve: CurveGraph, mask: int) -> SheafDatum:
     """The witness datum O_B of the subcurve ``mask``, validated and proved
-    once per (curve, mask) and memoized on the curve.
+    (memoized per curve and mask by the caller).
 
     O_B is fixed, so each of its three defect formulas is linear in
     ``(lambda, q)``.  They are compared at the curve's Kronecker lambda on
@@ -183,21 +183,16 @@ def _check_witness(curve: CurveGraph, mask: int) -> SheafDatum:
     with the path formula at the first base, so one comparison proves
     them equal under every polarization of the curve.
     """
-    key = ("witness", mask)
-    memo = curve._proofs
-    datum = memo.get(key)
-    if datum is None:
-        datum = SheafDatum.subcurve_sheaf(Subcurve(curve, mask))
-        validate_datum(curve, datum)
-        _, lam, q = kronecker_point(curve)
-        d1 = 2 * delta_general_scaled(curve, lam, q, datum)
-        if delta_residual_scaled(curve, lam, q, datum) != d1:
-            raise AssertionError("witness defect disagrees with the residual formula")
-        ps = build_path_system(curve, curve.vertex_ids[0])
-        if delta_decomposed_scaled(ps, q, aj_defects_scaled(ps, lam, q), datum) != d1:
-            raise AssertionError("witness defect disagrees with the path formula")
-        memo[key] = datum
-    return datum  # type: ignore[return-value]
+    datum = SheafDatum.subcurve_sheaf(Subcurve(curve, mask))
+    validate_datum(curve, datum)
+    _, lam, q = kronecker_point(curve)
+    d1 = 2 * delta_general_scaled(curve, lam, q, datum)
+    if delta_residual_scaled(curve, lam, q, datum) != d1:
+        raise AssertionError("witness defect disagrees with the residual formula")
+    ps = build_path_system(curve, curve.vertex_ids[0])
+    if delta_decomposed_scaled(ps, q, aj_defects_scaled(ps, lam, q), datum) != d1:
+        raise AssertionError("witness defect disagrees with the path formula")
+    return datum
 
 
 def decide(

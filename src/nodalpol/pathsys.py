@@ -127,38 +127,31 @@ class PathSystem:
 def _simple_graph(
     graph: DualGraph,
 ) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """The base-independent part of every path system, once per graph.
+    """The base-independent part of every path system.
 
     Returns the marked edge indices, ascending (the lowest edge id of each
     parallel class), and per vertex index its neighbours in the simple
     graph they span as ``(vertex index, edge index)``, ascending by vertex.
     """
-    found = graph._simple_graph
-    if found is None:
-        class_rep: dict[tuple[int, int], int] = {}
-        for j, pair in enumerate(graph.edge_index_pairs()):
-            class_rep.setdefault(pair, j)
-        neighbours: list[list[tuple[int, int]]] = [[] for _ in range(graph.gamma)]
-        # Pairs are (smaller, larger) and sorted, so each list comes out
-        # ascending: first the smaller neighbours, then the larger ones.
-        for (ia, ib), j in sorted(class_rep.items()):
-            neighbours[ia].append((ib, j))
-            neighbours[ib].append((ia, j))
-        found = graph._simple_graph = (
-            tuple(sorted(class_rep.values())),
-            tuple(tuple(row) for row in neighbours),
-        )
-    return found  # type: ignore[return-value]
+    class_rep: dict[tuple[int, int], int] = {}
+    for j, pair in enumerate(graph.edge_index_pairs()):
+        class_rep.setdefault(pair, j)
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(graph.gamma)]
+    # Pairs are (smaller, larger) and sorted, so each list comes out
+    # ascending: first the smaller neighbours, then the larger ones.
+    for (ia, ib), j in sorted(class_rep.items()):
+        neighbours[ia].append((ib, j))
+        neighbours[ib].append((ia, j))
+    return (
+        tuple(sorted(class_rep.values())),
+        tuple(tuple(row) for row in neighbours),
+    )
 
 
 def build_path_system(curve: CurveGraph, base: int) -> PathSystem:
     """The path system rooted at a base vertex, memoized on the curve's
     dual graph and shared with every curve on that graph object."""
-    cache = curve.graph._path_systems
-    found = cache.get(base)
-    if found is None:
-        found = cache[base] = _construct(curve.graph, base)
-    return found  # type: ignore[return-value]
+    return curve.graph.memo(("path system", base), _construct, base)
 
 
 def _construct(graph: DualGraph, base: int) -> PathSystem:
@@ -167,7 +160,7 @@ def _construct(graph: DualGraph, base: int) -> PathSystem:
     base_idx = graph.index_of(base)
     gamma = graph.gamma
     full = graph.full_mask
-    marked, neighbours = _simple_graph(graph)
+    marked, neighbours = graph.memo("simple graph", _simple_graph)
 
     # Breadth-first depths on the simple graph (vertices, marking); the
     # list of reached vertices is the queue, in non-decreasing depth.

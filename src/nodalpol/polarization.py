@@ -54,9 +54,6 @@ class Polarization:
     def __post_init__(self) -> None:
         ws = tuple(Fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
-        # Rational hashing is surprisingly costly; memoize it, since
-        # polarizations serve as cache keys all over the package.
-        object.__setattr__(self, "_hash", hash(ws))
         if not ws:
             raise InvalidPolarizationError("a polarization needs at least one weight")
         q = lcm(*(w.denominator for w in ws))
@@ -97,7 +94,7 @@ class Polarization:
         return self._scaled[0]  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return hash(self.weights)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polarization):

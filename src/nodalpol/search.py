@@ -265,16 +265,6 @@ def _draw_samples(grid: Sequence[T], cfg: CampaignConfig, chash: str) -> list[T]
 # -- identity suite -------------------------------------------------------
 
 
-def _proved(curve: CurveGraph, key: tuple, prove: Callable, *args) -> tuple[str, ...]:
-    """The failures of one proof, computed on first use and memoized on the
-    curve under ``key``."""
-    memo = curve._proofs
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = prove(curve, *args)
-    return found  # type: ignore[return-value]
-
-
 def _lambda_formula(curve: CurveGraph, point: KroneckerPoint) -> int:
     """``2q * delta`` of the Kronecker datum by the lambda formula: the
     reference the other formulas are compared with."""
@@ -360,12 +350,12 @@ def identity_failures(
     failures: list[str] = []
     if sum(lam) != q * curve.delta:
         failures.append("lambda sum != node count")
-    failures += _proved(curve, ("residual",), _prove_residual)
+    failures += curve.memo(("residual",), _prove_residual)
     base = curve.vertex_ids[rng.randrange(curve.gamma)]
-    failures += _proved(curve, ("path", base), _prove_path, base)
+    failures += curve.memo(("path", base), _prove_path, base)
     if curve.gamma >= 2:
         mask = 1 + rng.randrange(curve.full_mask - 1)
-        failures += _proved(curve, ("restrict", mask), _prove_restriction, mask)
+        failures += curve.memo(("restrict", mask), _prove_restriction, mask)
     return failures
 
 

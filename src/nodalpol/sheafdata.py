@@ -334,18 +334,19 @@ def kronecker_point(curve: CurveGraph) -> KroneckerPoint:
     the curve.  Linear forms in the datum alone (the path bookkeeping) or
     in lambda alone (a fixed datum) are special cases.
     """
-    found = curve._proofs.get("point")
-    if found is None:
-        gamma, delta = curve.gamma, curve.delta
-        width = kronecker_width(delta)
-        stride = width * (gamma + delta + 1)
-        datum = SheafDatum(
-            ranks=tuple(1 << width * (delta + 1 + k) for k in range(gamma)),
-            degrees=(0,) * gamma,
-            stalk_free=tuple(1 << width * (j + 1) for j in range(delta)),
-        )
-        q = 1
-        free = [1 << stride * t for t in range(1, gamma)]
-        lam = tuple(free) + (q * delta - sum(free),)
-        found = curve._proofs["point"] = KroneckerPoint(datum, lam, q)
-    return found  # type: ignore[return-value]
+    return curve.memo("point", _kronecker_point)
+
+
+def _kronecker_point(curve: CurveGraph) -> KroneckerPoint:
+    gamma, delta = curve.gamma, curve.delta
+    width = kronecker_width(delta)
+    stride = width * (gamma + delta + 1)
+    datum = SheafDatum(
+        ranks=tuple(1 << width * (delta + 1 + k) for k in range(gamma)),
+        degrees=(0,) * gamma,
+        stalk_free=tuple(1 << width * (j + 1) for j in range(delta)),
+    )
+    q = 1
+    free = [1 << stride * t for t in range(1, gamma)]
+    lam = tuple(free) + (q * delta - sum(free),)
+    return KroneckerPoint(datum, lam, q)

@@ -34,7 +34,11 @@ from fractions import Fraction
 from itertools import chain
 
 from .curve import CurveGraph, Subcurve, mask_members
-from .errors import UnsupportedCurveError, UnsupportedRankError
+from .errors import (
+    InvalidPolarizationError,
+    UnsupportedCurveError,
+    UnsupportedRankError,
+)
 from .polarization import (
     Polarization,
     ScaledLambda,
@@ -212,6 +216,8 @@ def stability_polytope(
         raise UnsupportedCurveError(
             "the weight-window description needs arithmetic genus >= 2"
         )
+    if witness_denominator_bound < 1:
+        raise InvalidPolarizationError("grid parameters must be positive")
     P = pa - 1
     windows = []
     seen_masks: set[int] = set()

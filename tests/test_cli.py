@@ -283,6 +283,52 @@ class TestOtherCommands:
         assert time.perf_counter() - started < 5.0
         assert "subsets" in capsys.readouterr().err
 
+    def test_connected_subcurve_limit_exits_2(self, capsys, tmp_path):
+        # A star of 25 genus-2 components has 2^24 + 24 connected
+        # subcurves; growing them stops past MAX_SUBSET_MASKS.
+        curve = tmp_path / "star25.json"
+        curve.write_text(
+            json.dumps(
+                {
+                    "vertices": [{"id": k, "genus": 2} for k in range(1, 26)],
+                    "edges": [{"id": k, "ends": [1, k + 1]} for k in range(1, 25)],
+                }
+            )
+        )
+        weights = tmp_path / "uniform25.json"
+        weights.write_text(json.dumps({"weights": ["1/25"] * 25}))
+        started = time.perf_counter()
+        code = main(["stability", "--curve", str(curve), "--polarization", str(weights)])
+        assert code == 2
+        assert time.perf_counter() - started < 5.0
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("denominator", ["0", "-3"])
+    @pytest.mark.parametrize("stable", [True, False])
+    def test_polytope_denominator_below_one_exits_2(
+        self, capsys, tmp_path, stable, denominator
+    ):
+        # The stable curve's witness is the canonical point, found before
+        # any grid point; the bound is checked all the same.
+        if stable:
+            curve = fixture("two_genus2_one_node.json")
+        else:
+            path = tmp_path / "chain101.json"
+            path.write_text(
+                json.dumps(
+                    {
+                        "vertices": [{"id": k, "genus": g} for k, g in ((1, 1), (2, 0), (3, 1))],
+                        "edges": [{"id": 1, "ends": [1, 2]}, {"id": 2, "ends": [2, 3]}],
+                    }
+                )
+            )
+            curve = str(path)
+        code = main(["polytope", "--curve", curve, "--denominator", denominator])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: grid parameters must be positive" in captured.err
+
     def test_failed_self_check_exits_3(self, capsys, monkeypatch):
         # A residual kernel that disagrees with the other two formulas trips
         # the witness re-check: an internal error, reported with its inputs.

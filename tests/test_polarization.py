@@ -67,6 +67,12 @@ class TestPolarizationInvariants:
             Polarization.of([F(1, 2)])
 
 
+    def test_equal_polarizations_are_one_key(self):
+        a = Polarization.of(["2/4", "1/4", "1/4"])
+        b = Polarization((F(1, 2), F(1, 4), F(1, 4)))
+        assert a == b and hash(a) == hash(b) == hash(b.weights)
+        assert len({a, b, Polarization.uniform(3)}) == 2
+
 class TestFromMultidegree:
     def test_symmetric(self):
         assert from_multidegree(two_genus2(), [1, 1]).weights == (F(1, 2), F(1, 2))
