@@ -10,7 +10,8 @@ number of nodes.
 The genus-free part of a curve is a :class:`DualGraph`: ids, edge ends,
 index pairs, adjacency masks and degrees.  A :class:`CurveGraph` is a dual
 graph decorated with a genus vector (:meth:`DualGraph.decorate`); every
-decoration of one graph object shares that object and its index data.
+decoration of one graph object shares that object, its index data and the
+genus-free columns of its connected subcurves (``"subcurve skeleton"``).
 Graphs are shared only by construction: two curves built separately from
 the same ids and edges get two graphs.  Work derived from a graph or a
 curve is kept on that object by :meth:`_Multigraph.memo`; no other module
@@ -24,7 +25,8 @@ a small integer, so all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import InvalidCurveError, UnsupportedCurveError
 
@@ -70,22 +72,28 @@ def lowest_component(adjacency: Sequence[int], mask: int) -> int:
     return reached
 
 
-class SubcurveStat(NamedTuple):
-    """Precomputed data for one proper connected subcurve.
+class SubcurveColumns:
+    """Integer columns over the proper connected subcurves of a curve,
+    ascending by bitmask; ``len`` is the number of entries.
 
-    ``parent`` and ``vertex`` record the growth tree: the subcurve is the
-    one at position ``parent`` of :meth:`CurveGraph.connected_subcurve_stats`
-    plus the component ``vertex`` (``parent == -1`` for a single
-    component).  The parent is connected and comes earlier, since its mask
-    is a proper subset.  The member indices are ``mask_members(mask)``.
+    ``masks`` holds the vertex bitmasks, ``internal`` the nodes with both
+    branches in the subcurve, ``boundary`` the nodes joining it to its
+    complement and ``genus`` its arithmetic genus.  ``parents`` and
+    ``vertices`` record the growth tree: entry i is entry ``parents[i]``
+    plus the component ``vertices[i]`` (``parents[i] == -1`` for a single
+    component).  A parent is connected and comes earlier, since its mask
+    is a proper subset.  Every column but ``genus`` is genus-free and
+    shared by the decorations of one :class:`DualGraph`.
     """
 
-    mask: int
-    parent: int    # position of the subcurve this one grew from, or -1
-    vertex: int    # index of the component added to the parent
-    internal: int  # nodes with both branches in the subcurve
-    boundary: int  # nodes joining the subcurve to its complement
-    genus: int     # arithmetic genus of the subcurve
+    __slots__ = ("masks", "parents", "vertices", "internal", "boundary", "genus")
+
+    def __init__(self, skeleton: tuple, genus: tuple[int, ...]) -> None:
+        self.masks, self.parents, self.vertices, self.internal, self.boundary = skeleton
+        self.genus = genus
+
+    def __len__(self) -> int:
+        return len(self.masks)
 
 
 @dataclass(frozen=True)
@@ -123,8 +131,10 @@ class _Multigraph:
     :class:`CurveGraph`, which holds its graph's index data.
 
     Each object's one cache is its :meth:`memo`.  A graph keeps
-    ``"simple graph"`` and ``("path system", base id)`` (``pathsys``), so
-    every decoration shares one path system per base.  A curve keeps its
+    ``"simple graph"`` and ``("path system", base id)`` (``pathsys``) and
+    ``"subcurve skeleton"`` (:meth:`CurveGraph.connected_subcurve_stats`),
+    so every decoration shares one path system per base and one set of
+    genus-free subcurve columns.  A curve keeps its
     self-check proofs: ``"point"`` (``sheafdata.kronecker_point``),
     ``("residual",)``, ``("path", base id)`` and ``("restrict", mask)``
     (``search``), and ``("witness", mask)`` (``goodness``).
@@ -297,6 +307,84 @@ class DualGraph(_Multigraph):
         return hash(self._key)
 
 
+def _grow_subcurves(graph: DualGraph) -> tuple[tuple, tuple[int, ...]]:
+    """The genus-free columns of :class:`SubcurveColumns` for ``graph``, and
+    a column of the nodes joining each vertex to its parent, less one.
+
+    Connected vertex sets are grown, not filtered out of all 2^gamma
+    masks.  Each set is reached exactly once, from its lowest vertex: a
+    branch adds one frontier vertex and bans the frontier vertices its
+    earlier siblings added.  Node counts are carried forward as vertices
+    join, so the cost is proportional to the number of connected
+    subcurves: polynomial on chains and cycles, still exponential on dense
+    curves and stars.
+    """
+    gamma = graph.gamma
+    adj = graph._adjacency_masks
+    deg = graph._vertex_degrees
+    # Edge multiplicities as layered masks: layer j of vertex u holds the
+    # neighbours joined to u by more than j nodes, so the nodes between u
+    # and a set S number sum(|layer & S|) over the layers.
+    mult = [[0] * gamma for _ in range(gamma)]
+    for ia, ib in graph._edge_index_pairs:
+        mult[ia][ib] += 1
+        mult[ib][ia] += 1
+    layers = [
+        tuple(sum(1 << w for w in range(gamma) if row[w] > j) for j in range(max(row)))
+        for row in mult
+    ]
+    # Per connected set: its mask, its growth index, its parent's (-1 for a
+    # single vertex), the vertex added, internal nodes, boundary nodes, and
+    # the nodes joining the vertex to the parent minus one.
+    grown = []
+    for v in range(gamma):
+        low = 1 << v
+        # (mask, neighbours of the mask, banned, parent, vertex added,
+        # internal, degree sum, joining nodes - 1); the banned set always
+        # covers the mask.
+        stack = [(low, adj[v], (low << 1) - 1, -1, v, 0, deg[v], -1)]
+        while stack:
+            mask, reach, banned, parent, added, internal, dsum, step = stack.pop()
+            here = len(grown)
+            if here == MAX_SUBSET_MASKS:
+                raise UnsupportedCurveError(
+                    f"more than {MAX_SUBSET_MASKS} connected subcurves"
+                )
+            grown.append((mask, here, parent, added, internal, dsum - 2 * internal, step))
+            frontier = reach & ~banned
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                banned |= bit
+                u = bit.bit_length() - 1
+                joined = 0
+                for layer in layers[u]:
+                    joined += (layer & mask).bit_count()
+                stack.append(
+                    (
+                        mask | bit,
+                        reach | adj[u],
+                        banned,
+                        here,
+                        u,
+                        internal + joined,
+                        dsum + deg[u],
+                        joined - 1,
+                    )
+                )
+    grown.sort(key=itemgetter(0))  # masks are distinct
+    grown.pop()  # the full mask, the largest of all
+    columns = tuple(zip(*grown)) or ((),) * 7  # a single component has none
+    masks, heres, parents, vertices, internal, boundary, steps = columns
+    # Position in mask order per growth index; the extra last slot maps a
+    # parent of -1 to -1.  The full mask is nobody's parent.
+    position = [-1] * (len(grown) + 2)
+    for pos, here in enumerate(heres):
+        position[here] = pos
+    parents = tuple(map(position.__getitem__, parents))
+    return (masks, parents, vertices, internal, boundary), steps
+
+
 class CurveGraph(_Multigraph):
     """Connected loopless multigraph with a genus attached to each vertex.
 
@@ -334,7 +422,7 @@ class CurveGraph(_Multigraph):
         self._edge_index_pairs = graph._edge_index_pairs
         self._adjacency_masks = graph._adjacency_masks
         self._vertex_degrees = graph._vertex_degrees
-        self._connected_stats: tuple[SubcurveStat, ...] | None = None
+        self._connected_stats: SubcurveColumns | None = None
         self._memo: dict[object, object] = {}
         self._key = (self.vertex_ids, genera, self.edge_ids, self.edge_ends)
 
@@ -380,122 +468,25 @@ class CurveGraph(_Multigraph):
             )
         return range(1, self.full_mask)
 
-    def connected_subcurve_stats(self) -> tuple[SubcurveStat, ...]:
-        """Stats for every proper connected subcurve, ascending by bitmask.
+    def connected_subcurve_stats(self) -> SubcurveColumns:
+        """The :class:`SubcurveColumns` of every proper connected subcurve.
 
-        Connected vertex sets are grown, not filtered out of all 2^gamma
-        masks.  Each set is reached exactly once, from its lowest vertex:
-        a branch adds one frontier vertex and bans the frontier vertices
-        its earlier siblings added.  Node counts and genus sums are
-        carried forward as vertices join, so the cost is proportional to
-        the number of connected subcurves: polynomial on chains and cycles,
-        still exponential on dense curves and stars.
-
-        Each entry keeps the branch that reached it (``parent``,
-        ``vertex``), so a sum over members can be carried forward in one
-        addition per entry, as ``polarization.subcurve_defects_scaled``
-        does.  Computed once per curve and reused by the stability and
-        goodness checks; empty when the curve has a single component.
-        Refused once more than ``MAX_SUBSET_MASKS`` subcurves are grown.
+        The genus-free columns are grown once per dual graph, kept in its
+        memo under ``"subcurve skeleton"`` and shared by its decorations;
+        each curve derives its genus column along the growth tree with one
+        addition per entry.  Empty for a single component; refused once
+        more than ``MAX_SUBSET_MASKS`` subcurves are grown.
         """
         if self._connected_stats is None:
-            gamma = self.gamma
-            adj = self._adjacency_masks
-            deg = self._vertex_degrees
-            # Genus of a connected set: sum of (g - 1) over it, plus internal
-            # nodes, plus one.
-            excess = [g - 1 for g in self.genera]
-            # Edge multiplicities as layered masks: layer j of vertex u holds
-            # the neighbours joined to u by more than j nodes, so the nodes
-            # between u and a set S number sum(|layer & S|) over the layers.
-            mult = [[0] * gamma for _ in range(gamma)]
-            for ia, ib in self._edge_index_pairs:
-                mult[ia][ib] += 1
-                mult[ib][ia] += 1
-            layers = [
-                tuple(
-                    sum(1 << w for w in range(gamma) if row[w] > j)
-                    for j in range(max(row))
-                )
-                for row in mult
-            ]
-            # Per connected set: its mask, its growth index, the growth
-            # index of its parent (-1 for a single vertex), the vertex
-            # added, internal nodes, boundary nodes and genus.
-            grown = []
-            for v in range(gamma):
-                low = 1 << v
-                # (mask, neighbours of the mask, banned, parent, vertex added,
-                # internal, degree sum, excess sum); the banned set always
-                # covers the mask.
-                stack = [(low, adj[v], (low << 1) - 1, -1, v, 0, deg[v], excess[v])]
-                while stack:
-                    mask, reach, banned, parent, added, internal, dsum, esum = stack.pop()
-                    here = len(grown)
-                    if here == MAX_SUBSET_MASKS:
-                        raise UnsupportedCurveError(
-                            f"more than {MAX_SUBSET_MASKS} connected subcurves"
-                        )
-                    grown.append(
-                        (
-                            mask,
-                            here,
-                            parent,
-                            added,
-                            internal,
-                            dsum - 2 * internal,
-                            esum + internal + 1,
-                        )
-                    )
-                    frontier = reach & ~banned
-                    while frontier:
-                        bit = frontier & -frontier
-                        frontier ^= bit
-                        banned |= bit
-                        u = bit.bit_length() - 1
-                        joined = internal
-                        for layer in layers[u]:
-                            joined += (layer & mask).bit_count()
-                        stack.append(
-                            (
-                                mask | bit,
-                                reach | adj[u],
-                                banned,
-                                here,
-                                u,
-                                joined,
-                                dsum + deg[u],
-                                esum + excess[u],
-                            )
-                        )
-            grown.sort()
-            grown.pop()  # the full mask, the largest of all
-            # Position in mask order per growth index (the full mask's index
-            # included).  A parent's mask is a proper subset of its child's,
-            # so its position is known by the time the child is placed.
-            position = [0] * (len(grown) + 1)
-            stats = []
-            for pos, (mask, here, parent, added, internal, boundary, genus) in enumerate(
-                grown
-            ):
-                position[here] = pos
-                stats.append(
-                    SubcurveStat(
-                        mask,
-                        position[parent] if parent >= 0 else -1,
-                        added,
-                        internal,
-                        boundary,
-                        genus,
-                    )
-                )
-            self._connected_stats = tuple(stats)
+            skeleton, steps = self.graph.memo("subcurve skeleton", _grow_subcurves)
+            genera = self.genera
+            # Adding a component v met in j nodes adds g_v + j - 1 to the
+            # arithmetic genus, starting from p_a = 1 for the empty curve.
+            genus = [1]
+            for parent, vertex, step in zip(skeleton[1], skeleton[2], steps):
+                genus.append(genus[parent + 1] + genera[vertex] + step)
+            self._connected_stats = SubcurveColumns(skeleton, tuple(genus[1:]))
         return self._connected_stats
-
-    def proper_connected_subcurves(self) -> Iterator["Subcurve"]:
-        """Every proper connected subcurve exactly once, ascending by mask."""
-        for stat in self.connected_subcurve_stats():
-            yield Subcurve(self, stat.mask)
 
     # -- classification --------------------------------------------------
 

@@ -12,10 +12,10 @@ is a one-pass encoder whose output is byte-identical to
 accepts only dicts with string keys, lists, strings, integers, booleans
 and ``None``, and raises ``TypeError`` on anything else, floats included:
 every number the package prints is exact rational text.  The one
-exception is :class:`Prerendered`, text already in that layout, which the
-encoder re-indents to the depth where it sits; :func:`subcurve_table`
-writes the ``analyze`` subcurve table that way, row by row from the
-integers, since it can hold thousands of rows.  A document the
+exception is :class:`Prerendered`, text already in that layout at a stated
+depth, re-indented only where it sits at another; :func:`subcurve_table`
+writes the ``analyze`` subcurve table that way, at its final depth and row
+by row from the integers, since it can hold thousands of rows.  A document the
 loaders cannot turn into a curve, polarization or sheaf datum raises
 ``SchemaError``, also when it is well formed but its values are not (a loop,
 a disconnected graph, weights off the simplex).
@@ -79,11 +79,13 @@ def format_rational(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Prerendered:
-    """A JSON value as :func:`canonical_dumps` writes it at the top level,
-    without the final newline.  Placed anywhere in a document, it is
-    written as that value would be."""
+    """A JSON value as :func:`canonical_dumps` writes it on a line that
+    ``pad`` (a newline and the indentation; the top level by default)
+    starts, without the final newline.  Placed anywhere in a document, it
+    is written as that value would be."""
 
     text: str
+    pad: str = "\n"
 
 
 def _encode(x: Any, pad: str) -> str:
@@ -130,8 +132,8 @@ def _encode(x: Any, pad: str) -> str:
     if x is None:
         return "null"
     if t is Prerendered:
-        # Newlines occur only between tokens, since strings escape them.
-        return x.text.replace("\n", pad)
+        # Strings escape newlines, so each one starts a line under x.pad.
+        return x.text if x.pad == pad else x.text.replace(x.pad, pad)
     raise TypeError(f"{t.__name__} is not serializable as exact JSON")
 
 
@@ -152,27 +154,30 @@ def subcurve_table(curve: CurveGraph, defects: Sequence[int], q: int) -> Prerend
     entry of ``curve.connected_subcurve_stats()``: the dict
     ``{"boundary", "delta", "genus", "members"}`` with ``defects[i] / q``
     as its delta and the member vertex ids, ascending.  Each row is
-    written straight from the integers; member ids come from two tables
-    of id text, for the low and the high 8 components, so a curve has at
-    most 16 components here.
+    written straight from the columns, one level deep, where ``analyze``
+    places the table; member ids come from two tables of id text, for the
+    low and the high 8 components, so a curve has at most 16 of them here.
     """
     if curve.gamma > 16:
         raise ValueError(
             f"the subcurve table holds at most 16 components, got {curve.gamma}"
         )
-    stats = curve.connected_subcurve_stats()
-    if not stats:
+    cols = curve.connected_subcurve_stats()
+    if not cols:
         return Prerendered("[]")
     # Every id behind its separator; a row strips the first comma.
-    ids = [",\n      " + str(v) for v in curve.vertex_ids]
+    ids = [",\n        " + str(v) for v in curve.vertex_ids]
     low, high = _subset_texts(ids[:8]), _subset_texts(ids[8:])
+    delta = {d: format_scaled(d, q) for d in set(defects)}  # values repeat
     rows = [
-        f'{{\n    "boundary": {boundary},\n    "delta": "{format_scaled(d, q)}",'
-        f'\n    "genus": {genus},\n    "members": ['
-        f"{(low[mask & 255] + high[mask >> 8])[1:]}\n    ]\n  }}"
-        for (mask, _, _, _, boundary, genus), d in zip(stats, defects)
+        f'{{\n      "boundary": {boundary},\n      "delta": "{delta[d]}",'
+        f'\n      "genus": {genus},\n      "members": ['
+        f"{(low[mask & 255] + high[mask >> 8])[1:]}\n      ]\n    }}"
+        for mask, boundary, genus, d in zip(
+            cols.masks, cols.boundary, cols.genus, defects
+        )
     ]
-    return Prerendered("[\n  " + ",\n  ".join(rows) + "\n]")
+    return Prerendered("[\n    " + ",\n    ".join(rows) + "\n  ]", "\n  ")
 
 
 def _loads(text: str) -> Any:

@@ -181,13 +181,15 @@ def subcurve_defects_scaled(curve: CurveGraph, lam: Sequence[int], q: int) -> li
     """``q * delta_structure(B)`` for every entry of
     ``curve.connected_subcurve_stats()``, in the same order.
 
-    Each subcurve is its parent in the growth tree plus one component, and
+    Reads the ``parents``, ``vertices`` and ``internal`` columns.  Each
+    subcurve is its parent in the growth tree plus one component, and
     parents come first, so the lambda sum over B takes one addition per
     entry instead of a pass over B's members.
     """
+    stats = curve.connected_subcurve_stats()
     sums = [0]  # sums[i + 1] is the lambda sum over entry i
     defects = []
-    for _, parent, vertex, internal, _, _ in curve.connected_subcurve_stats():
+    for parent, vertex, internal in zip(stats.parents, stats.vertices, stats.internal):
         s = sums[parent + 1] + lam[vertex]
         sums.append(s)
         defects.append(s - q * internal)

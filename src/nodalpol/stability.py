@@ -89,12 +89,13 @@ def oc_stability(
     semistable = True
     failing_mask: int | None = None
     failing_scaled = 0
-    for stat, s in zip(curve.connected_subcurve_stats(), defects):
-        hi = q * stat.boundary
+    stats = curve.connected_subcurve_stats()
+    for mask, boundary, s in zip(stats.masks, stats.boundary, defects):
+        hi = q * boundary
         if not 0 < s < hi:
             if stable:
                 stable = False
-                failing_mask = stat.mask
+                failing_mask = mask
                 failing_scaled = s
             if not 0 <= s <= hi:
                 semistable = False
@@ -222,15 +223,16 @@ def stability_polytope(
     windows = []
     seen_masks: set[int] = set()
     full = curve.full_mask
-    for stat in curve.connected_subcurve_stats():
-        if (full ^ stat.mask) in seen_masks:
+    stats = curve.connected_subcurve_stats()
+    for mask, genus, boundary in zip(stats.masks, stats.genus, stats.boundary):
+        if (full ^ mask) in seen_masks:
             continue
-        seen_masks.add(stat.mask)
+        seen_masks.add(mask)
         windows.append(
             WeightWindow(
-                Subcurve(curve, stat.mask),
-                Fraction(stat.genus - 1, P),
-                Fraction(stat.genus - 1 + stat.boundary, P),
+                Subcurve(curve, mask),
+                Fraction(genus - 1, P),
+                Fraction(genus - 1 + boundary, P),
             )
         )
     candidates = enumerate_weight_grid(curve.gamma, witness_denominator_bound)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from nodalpol import AjFamily, CurveGraph, Polarization, SheafDatum, StabilityPolytope
+from nodalpol import AjFamily, CurveGraph, Polarization, SheafDatum, StabilityPolytope, Subcurve
 
 
 def random_curve(
@@ -31,6 +31,11 @@ def random_curve(
             edges.append((min(u, v), max(u, v)))
     genera = [rng.randint(0, max_genus) for _ in range(gamma)]
     return CurveGraph.from_genera(genera, edges)
+
+
+def proper_connected_subcurves(c: CurveGraph) -> list[Subcurve]:
+    """Every proper connected subcurve of ``c``, ascending by mask."""
+    return [Subcurve(c, mask) for mask in c.connected_subcurve_stats().masks]
 
 
 def random_polarization(rng: random.Random, gamma: int) -> Polarization:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import nodalpol.balanced
 import nodalpol.cli
+import nodalpol.curve
 import nodalpol.pathsys
 import nodalpol.polarization
 from nodalpol import CurveGraph, Polarization
@@ -609,15 +611,16 @@ def _table_rows(curve: CurveGraph, w: Polarization) -> list[dict]:
     over the row's members: the layout ``analyze`` prints."""
     lam, q = scaled_lambda(curve, w)
     rows = []
-    for stat in curve.connected_subcurve_stats():
-        members = mask_members(stat.mask)
+    s = curve.connected_subcurve_stats()
+    for mask, internal, boundary, genus in zip(s.masks, s.internal, s.boundary, s.genus):
+        members = mask_members(mask)
         rows.append(
             {
                 "members": [curve.vertex_ids[k] for k in members],
-                "boundary": stat.boundary,
-                "genus": stat.genus,
+                "boundary": boundary,
+                "genus": genus,
                 "delta": format_scaled(
-                    delta_structure_scaled(lam, q, members, stat.internal), q
+                    delta_structure_scaled(lam, q, members, internal), q
                 ),
             }
         )
@@ -727,3 +730,54 @@ def test_repeated_analyze_builds_path_systems_cold(capsys, monkeypatch):
     assert _stdout(capsys, case) == expected
     assert len(built) == 2 * first
     assert {id(g) for g in built[:first]}.isdisjoint(id(g) for g in built[first:])
+
+
+def test_repeated_analyze_grows_subcurve_skeleton_cold(capsys, monkeypatch):
+    # The subcurve skeleton is memoized on the dual graph, which each call
+    # builds afresh, so each call grows it once.
+    grown = []
+    grow = nodalpol.curve._grow_subcurves
+
+    def counted(graph):
+        grown.append(graph)
+        return grow(graph)
+
+    monkeypatch.setattr(nodalpol.curve, "_grow_subcurves", counted)
+    case = ("analyze", "--curve", "multigraph5_mixed.json", "--polarization", "w_multigraph5.json")
+    expected = next((c, h) for k, c, h in GOLDEN_OUTPUTS if k == case)
+    assert _stdout(capsys, case) == expected
+    assert _stdout(capsys, case) == expected
+    assert len(grown) == 2 and grown[0] is not grown[1]
+
+
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+# sha256 over f"{rc}\n{stdout}" of every ``wide_analyze`` call of seeds 1-10,
+# in call order.
+WIDE_ANALYZE_SHA = "8cd6a5427be02ac70f595c24dec7d086f9df79bb852a13f61e7778ec82a0e5cf"
+
+
+def test_wide_analyze_golden(capsys, monkeypatch, tmp_path):
+    # The benchmark module puts its own directory on sys.path and pins the
+    # BLAS thread counts when it loads; both are undone after the test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    cpath, wpath = tmp_path / "curve.json", tmp_path / "w.json"
+    digest = hashlib.sha256()
+    for seed in range(1, 11):
+        for genera, edges, weights in bench.analyze_inputs(seed):
+            cpath.write_text(json.dumps({
+                "vertices": [{"id": v + 1, "genus": g} for v, g in enumerate(genera)],
+                "edges": [{"id": j + 1, "ends": [a, b]} for j, (a, b) in enumerate(edges)],
+            }))
+            wpath.write_text(json.dumps({"weights": [str(x) for x in weights]}))
+            rc = main([
+                "analyze", "--curve", str(cpath), "--polarization", str(wpath),
+                "--max-rank", bench.ANALYZE_MAX_RANK,
+            ])
+            digest.update(f"{rc}\n{capsys.readouterr().out}".encode("utf-8"))
+    assert digest.hexdigest() == WIDE_ANALYZE_SHA

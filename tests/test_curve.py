@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import curves
+import nodalpol.curve
+from conftest import curves, proper_connected_subcurves
 from nodalpol import CurveGraph, DualGraph
 from nodalpol.curve import MAX_COMPONENTS, lowest_component, mask_members
 from nodalpol.errors import InvalidCurveError
-from nodalpol.search import _connected_multiplicities, _pair_list
+from nodalpol.search import CampaignConfig, _connected_multiplicities, _pair_list, run_campaign
 
 
 def two_genus2() -> CurveGraph:
@@ -116,19 +117,19 @@ class TestClassify:
 
 class TestEnumeration:
     def test_two_components(self):
-        subs = list(two_genus2().proper_connected_subcurves())
+        subs = proper_connected_subcurves(two_genus2())
         assert [s.member_ids for s in subs] == [(1,), (2,)]
 
     def test_triangle_count(self):
-        subs = list(triangle().proper_connected_subcurves())
+        subs = proper_connected_subcurves(triangle())
         assert len(subs) == 6
 
     def test_path3_list(self):
-        subs = [s.member_ids for s in path3().proper_connected_subcurves()]
+        subs = [s.member_ids for s in proper_connected_subcurves(path3())]
         assert subs == [(1,), (2,), (1, 2), (3,), (2, 3)]
 
     def test_single_vertex_has_none(self):
-        assert list(CurveGraph.from_genera([1]).proper_connected_subcurves()) == []
+        assert proper_connected_subcurves(CurveGraph.from_genera([1])) == []
 
     @given(curves(max_gamma=6))
     @settings(max_examples=40)
@@ -154,16 +155,19 @@ class TestEnumeration:
             for ids in combinations(c.vertex_ids, size):
                 if connected(ids):
                     expected.add(ids)
-        got = {s.member_ids for s in c.proper_connected_subcurves()}
+        got = {s.member_ids for s in proper_connected_subcurves(c)}
         assert got == expected
 
     def test_stats_match_mask_filter(self):
         rng = random.Random(2008)
         for _ in range(2000):
             c = _random_multigraph(rng, rng.randint(1, 10))
+            s = c.connected_subcurve_stats()
             facts = tuple(
-                (s.mask, mask_members(s.mask), s.internal, s.boundary, s.genus)
-                for s in c.connected_subcurve_stats()
+                (mask, mask_members(mask), internal, boundary, genus)
+                for mask, internal, boundary, genus in zip(
+                    s.masks, s.internal, s.boundary, s.genus
+                )
             )
             assert facts == _mask_filter_stats(c), c
 
@@ -171,15 +175,16 @@ class TestEnumeration:
         rng = random.Random(2009)
         for _ in range(500):
             c = _random_multigraph(rng, rng.randint(1, 10))
-            stats = c.connected_subcurve_stats()
-            for pos, s in enumerate(stats):
-                if s.parent == -1:
-                    assert s.mask == 1 << s.vertex, c
+            s = c.connected_subcurve_stats()
+            rows = enumerate(zip(s.masks, s.parents, s.vertices))
+            for pos, (mask, parent, vertex) in rows:
+                if parent == -1:
+                    assert mask == 1 << vertex, c
                     continue
-                assert 0 <= s.parent < pos, c
-                parent_mask = stats[s.parent].mask
-                assert not parent_mask >> s.vertex & 1, c
-                assert parent_mask | 1 << s.vertex == s.mask, c
+                assert 0 <= parent < pos, c
+                parent_mask = s.masks[parent]
+                assert not parent_mask >> vertex & 1, c
+                assert parent_mask | 1 << vertex == mask, c
                 assert c.mask_is_connected(parent_mask), c
 
     @pytest.mark.parametrize("closed", [False, True], ids=["chain", "cycle"])
@@ -206,6 +211,60 @@ class TestEnumeration:
             assert cls.semistable
         if cls.stable:
             assert cls.quasistable  # no exceptional components at all
+
+
+GENUS_FREE_COLUMNS = ("masks", "parents", "vertices", "internal", "boundary")
+
+
+class TestSubcurveSkeleton:
+    """The genus-free columns are grown once per dual graph; each curve
+    derives only its genus column."""
+
+    def test_one_growth_per_graph_over_a_campaign(self, monkeypatch):
+        # The benchmark's campaign_exhaustive bounds: 1,201 curves on 34
+        # dual graphs, 33 of them with more than one component.
+        seen: Counter = Counter()
+        grow = nodalpol.curve._grow_subcurves
+
+        def counted(graph):
+            seen[graph] += 1
+            return grow(graph)
+
+        monkeypatch.setattr(nodalpol.curve, "_grow_subcurves", counted)
+        report = run_campaign(
+            CampaignConfig(
+                max_vertices=4,
+                max_edges=5,
+                max_genus=2,
+                weight_denominator_bound=5,
+                max_rank=12,
+                seed=1,
+            )
+        )
+        assert report.consistent and report.curves_enumerated == 1201
+        assert set(seen.values()) == {1} and len(seen) == 33
+        assert all(type(graph) is DualGraph for graph in seen)
+
+    def test_decorations_share_columns_and_derive_genus(self):
+        rng = random.Random(2015)
+        for _ in range(300):
+            graph = _random_multigraph(rng, rng.randint(1, 9)).graph
+            edges = [
+                (graph.vertex_ids.index(a) + 1, graph.vertex_ids.index(b) + 1)
+                for a, b in graph.edge_ends
+            ]
+            first = None
+            for _ in range(3):
+                genera = [rng.randint(0, 3) for _ in range(graph.gamma)]
+                stats = graph.decorate(genera).connected_subcurve_stats()
+                fresh = CurveGraph.from_genera(genera, edges).connected_subcurve_stats()
+                assert stats.genus == fresh.genus, (graph, genera)
+                assert len(stats) == len(fresh)
+                if first is None:
+                    first = stats
+                for name in GENUS_FREE_COLUMNS:
+                    assert getattr(stats, name) is getattr(first, name)
+                    assert getattr(stats, name) == getattr(fresh, name)
 
 
 def _mask_filter_stats(c: CurveGraph) -> tuple[tuple, ...]:

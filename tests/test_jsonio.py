@@ -292,6 +292,16 @@ class TestPrerendered:
         expected = json.dumps(wrap(value), sort_keys=True, indent=2) + "\n"
         assert canonical_dumps(wrap(placed)) == expected
 
+    @pytest.mark.parametrize("wrap", DEPTHS.values(), ids=DEPTHS.keys())
+    def test_written_one_level_deep(self, wrap):
+        # Text written as the value of a top-level key is placed as it
+        # stands at that depth and re-indented at any other.
+        value = [{"members": [12, 305], "delta": "-1/2", "boundary": 2, "genus": 0}]
+        text = canonical_dumps({"k": value})[len('{\n  "k": '):-len("\n}\n")]
+        placed = Prerendered(text, "\n  ")
+        expected = json.dumps(wrap(value), sort_keys=True, indent=2) + "\n"
+        assert canonical_dumps(wrap(placed)) == expected
+
     @settings(max_examples=200, deadline=None)
     @given(exact_json_values)
     def test_matches_json_dumps_at_depth_2(self, value):

@@ -163,9 +163,10 @@ class TestSubcurveDefects:
         for _ in range(400):
             c = random_curve(rng, max_gamma=8, max_extra_edges=6)
             lam, q = scaled_lambda(c, random_polarization(rng, c.gamma))
+            s = c.connected_subcurve_stats()
             expected = [
-                delta_structure_scaled(lam, q, mask_members(s.mask), s.internal)
-                for s in c.connected_subcurve_stats()
+                delta_structure_scaled(lam, q, mask_members(mask), internal)
+                for mask, internal in zip(s.masks, s.internal)
             ]
             assert subcurve_defects_scaled(c, lam, q) == expected, c
 

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import polarized_curves, random_curve, random_polarization
+from conftest import (
+    polarized_curves,
+    proper_connected_subcurves,
+    random_curve,
+    random_polarization,
+)
 from nodalpol import (
     CurveGraph,
     Polarization,
@@ -42,11 +47,12 @@ def star_conditions(
         raise UnsupportedCurveError("polarization length mismatch")
     P = pa - 1
     out = []
-    for stat in curve.connected_subcurve_stats():
-        wsum = sum((w.weights[k] for k in mask_members(stat.mask)), Fraction(0))
-        lower = Fraction(stat.genus - 1, P)
-        upper = Fraction(stat.genus - 1 + stat.boundary, P)
-        out.append((Subcurve(curve, stat.mask), lower < wsum < upper))
+    s = curve.connected_subcurve_stats()
+    for mask, genus, boundary in zip(s.masks, s.genus, s.boundary):
+        wsum = sum((w.weights[k] for k in mask_members(mask)), Fraction(0))
+        lower = Fraction(genus - 1, P)
+        upper = Fraction(genus - 1 + boundary, P)
+        out.append((Subcurve(curve, mask), lower < wsum < upper))
     return out
 
 
@@ -112,7 +118,7 @@ class TestOcStability:
         c, w = cw
         expected_stable = True
         expected_semi = True
-        for sub in c.proper_connected_subcurves():
+        for sub in proper_connected_subcurves(c):
             value = delta_structure(sub, w)
             if not 0 < value < sub.boundary_size:
                 expected_stable = False
@@ -132,7 +138,7 @@ class TestOcStability:
         if c.gamma < 2:
             return
         lower_only = all(
-            delta_structure(sub, w) > 0 for sub in c.proper_connected_subcurves()
+            delta_structure(sub, w) > 0 for sub in proper_connected_subcurves(c)
         )
         assert lower_only == oc_stability(c, w).stable
 

@@ -35,12 +35,16 @@ def test_traced_names_resolve():
 
 
 def test_subcurve_stats_hooks():
+    # The tracer counts len(stats) as subcurves: a 3-cycle has 6 proper
+    # connected subcurves, a chain of 4 components has 9.
     assert "_connected_stats" in CurveGraph.__slots__
-    curve = CurveGraph.from_genera([1, 0, 2], [(1, 2), (2, 3), (1, 3)])
-    assert curve._connected_stats is None
-    stats = curve.connected_subcurve_stats()
-    assert isinstance(stats, Sized) and len(stats) == 6
-    assert curve._connected_stats is not None
+    cycle = CurveGraph.from_genera([1, 0, 2], [(1, 2), (2, 3), (1, 3)])
+    chain = CurveGraph.from_genera([0, 1, 1, 0], [(1, 2), (2, 3), (3, 4)])
+    for curve, count in ((cycle, 6), (chain, 9)):
+        assert curve._connected_stats is None
+        stats = curve.connected_subcurve_stats()
+        assert isinstance(stats, Sized) and len(stats) == count
+        assert curve._connected_stats is not None
 
 
 def test_emit_signature():
