@@ -12,7 +12,7 @@ is a one-pass encoder whose output is byte-identical to
 accepts only dicts with string keys, lists, strings, integers, booleans
 and ``None``, and raises ``TypeError`` on anything else, floats included:
 every number the package prints is exact rational text.  The one
-exception is :class:`Prerendered`, text already in that layout at a stated
+exception is :class:`Prerendered`, text already in that layout at some
 depth, re-indented only where it sits at another; :func:`subcurve_table`
 writes the ``analyze`` subcurve table that way, at its final depth and row
 by row from the integers, since it can hold thousands of rows.  A document the
@@ -79,13 +79,12 @@ def format_rational(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Prerendered:
-    """A JSON value as :func:`canonical_dumps` writes it on a line that
-    ``pad`` (a newline and the indentation; the top level by default)
-    starts, without the final newline.  Placed anywhere in a document, it
-    is written as that value would be."""
+    """A JSON value as :func:`canonical_dumps` writes it at some depth,
+    without the final newline; one that spans lines shows that depth in
+    the indentation of its closing bracket.  Placed anywhere in a
+    document, it is written as that value would be."""
 
     text: str
-    pad: str = "\n"
 
 
 def _encode(x: Any, pad: str) -> str:
@@ -132,8 +131,9 @@ def _encode(x: Any, pad: str) -> str:
     if x is None:
         return "null"
     if t is Prerendered:
-        # Strings escape newlines, so each one starts a line under x.pad.
-        return x.text if x.pad == pad else x.text.replace(x.pad, pad)
+        # Strings escape newlines, so each one starts a line under own.
+        own = x.text[x.text.rfind("\n") : -1]
+        return x.text if own == pad or not own else x.text.replace(own, pad)
     raise TypeError(f"{t.__name__} is not serializable as exact JSON")
 
 
@@ -177,7 +177,7 @@ def subcurve_table(curve: CurveGraph, defects: Sequence[int], q: int) -> Prerend
             cols.masks, cols.boundary, cols.genus, defects
         )
     ]
-    return Prerendered("[\n    " + ",\n    ".join(rows) + "\n  ]", "\n  ")
+    return Prerendered("[\n    " + ",\n    ".join(rows) + "\n  ]")
 
 
 def _loads(text: str) -> Any:

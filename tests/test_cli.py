@@ -711,42 +711,32 @@ class TestSubcurveTable:
 
 
 def test_repeated_analyze_builds_path_systems_cold(capsys, monkeypatch):
-    # Path systems are memoized on a curve's dual graph, which each call
-    # builds afresh from its files: no cache outlives a call, so repeated
-    # calls on the same files repeat the work.
-    built = []
+    # Path systems and the subcurve skeleton are memoized on a curve's dual
+    # graph, which each call builds afresh from its files: no cache outlives
+    # a call, so repeated calls on the same files repeat the work.
+    built, grown = [], []
     construct = nodalpol.pathsys._construct
+    grow = nodalpol.curve._grow_subcurves
 
-    def counted(graph, base):
+    def counted_construct(graph, base):
         built.append(graph)
         return construct(graph, base)
 
-    monkeypatch.setattr(nodalpol.pathsys, "_construct", counted)
+    def counted_grow(graph):
+        grown.append(graph)
+        return grow(graph)
+
+    monkeypatch.setattr(nodalpol.pathsys, "_construct", counted_construct)
+    monkeypatch.setattr(nodalpol.curve, "_grow_subcurves", counted_grow)
     case = ("analyze", "--curve", "multigraph5_mixed.json", "--polarization", "w_multigraph5.json")
     expected = next((c, h) for k, c, h in GOLDEN_OUTPUTS if k == case)
     assert _stdout(capsys, case) == expected
     first = len(built)
     assert first > 0
+    assert len(grown) == 1
     assert _stdout(capsys, case) == expected
     assert len(built) == 2 * first
     assert {id(g) for g in built[:first]}.isdisjoint(id(g) for g in built[first:])
-
-
-def test_repeated_analyze_grows_subcurve_skeleton_cold(capsys, monkeypatch):
-    # The subcurve skeleton is memoized on the dual graph, which each call
-    # builds afresh, so each call grows it once.
-    grown = []
-    grow = nodalpol.curve._grow_subcurves
-
-    def counted(graph):
-        grown.append(graph)
-        return grow(graph)
-
-    monkeypatch.setattr(nodalpol.curve, "_grow_subcurves", counted)
-    case = ("analyze", "--curve", "multigraph5_mixed.json", "--polarization", "w_multigraph5.json")
-    expected = next((c, h) for k, c, h in GOLDEN_OUTPUTS if k == case)
-    assert _stdout(capsys, case) == expected
-    assert _stdout(capsys, case) == expected
     assert len(grown) == 2 and grown[0] is not grown[1]
 
 
@@ -758,14 +748,20 @@ WIDE_ANALYZE_SHA = "8cd6a5427be02ac70f595c24dec7d086f9df79bb852a13f61e7778ec82a0
 
 
 def test_wide_analyze_golden(capsys, monkeypatch, tmp_path):
-    # The benchmark module puts its own directory on sys.path and pins the
-    # BLAS thread counts when it loads; both are undone after the test.
+    # The benchmark module puts its own directory on sys.path, imports its
+    # helpers from there as top-level modules and pins the BLAS thread
+    # counts when it loads; all three are undone, the helpers as soon as
+    # it holds them.
     monkeypatch.setattr(sys, "path", list(sys.path))
+    loaded = set(sys.modules)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    for name in set(sys.modules) - loaded:
+        if Path(getattr(sys.modules[name], "__file__", None) or "/").parent == BENCH_RUN.parent:
+            del sys.modules[name]
     cpath, wpath = tmp_path / "curve.json", tmp_path / "w.json"
     digest = hashlib.sha256()
     for seed in range(1, 11):

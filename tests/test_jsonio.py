@@ -294,11 +294,13 @@ class TestPrerendered:
 
     @pytest.mark.parametrize("wrap", DEPTHS.values(), ids=DEPTHS.keys())
     def test_written_one_level_deep(self, wrap):
-        # Text written as the value of a top-level key is placed as it
-        # stands at that depth and re-indented at any other.
+        # Text written as the value of a top-level key, as subcurve_table
+        # writes it, is placed as it stands at that depth and re-indented
+        # at any other.
         value = [{"members": [12, 305], "delta": "-1/2", "boundary": 2, "genus": 0}]
         text = canonical_dumps({"k": value})[len('{\n  "k": '):-len("\n}\n")]
-        placed = Prerendered(text, "\n  ")
+        assert text.endswith("\n  ]")
+        placed = Prerendered(text)
         expected = json.dumps(wrap(value), sort_keys=True, indent=2) + "\n"
         assert canonical_dumps(wrap(placed)) == expected
 
