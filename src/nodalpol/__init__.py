@@ -6,66 +6,60 @@ decides w-stability of the structure sheaf, certifies or refutes goodness
 of a polarization, relates both to balanced multidegrees, and ships a
 reproducible sweep harness hunting for a counterexample to the conjectured
 equivalence between the two notions.
+
+Names load on first use: ``import nodalpol`` imports no submodule, and the
+first lookup of an exported name, as ``nodalpol.decide`` or ``from nodalpol
+import decide``, imports the module that defines it.  A command therefore
+loads only the modules it runs.
 """
 
-from .balanced import MultidegreeBundle, balanced_stability_bridge, is_balanced, is_strictly_balanced, omega_degree
-from .curve import CurveClass, CurveGraph, DualGraph, Subcurve
-from .errors import NodalPolError
-from .goodness import GoodnessStatus, GoodnessVerdict, conjecture_probe, decide, sufficient_check
-from .pathsys import AjFamily, PathSystem, aj_family, build_path_system, delta_decomposed, verify_path_identities
-from .polarization import Polarization, canonical, delta_structure, enumerate_weight_grid, from_multidegree, lambda_vector
-from .search import CampaignConfig, CampaignReport, enumerate_curves, run_campaign, sample_polarizations
-from .sheafdata import SheafDatum, SheafSlopeReport, delta_general, delta_residual, is_locally_free, restrict, restricted_wdeg, slope_report, tensor_by_multidegree, validate_datum
-from .stability import StabilityPolytope, StabilityVerdict, oc_stability, rank1_stability, stability_polytope
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AjFamily",
-    "CampaignConfig",
-    "CampaignReport",
-    "CurveClass",
-    "CurveGraph",
-    "DualGraph",
-    "GoodnessStatus",
-    "GoodnessVerdict",
-    "MultidegreeBundle",
-    "NodalPolError",
-    "PathSystem",
-    "Polarization",
-    "SheafDatum",
-    "SheafSlopeReport",
-    "StabilityPolytope",
-    "StabilityVerdict",
-    "Subcurve",
-    "aj_family",
-    "balanced_stability_bridge",
-    "build_path_system",
-    "canonical",
-    "conjecture_probe",
-    "decide",
-    "delta_decomposed",
-    "delta_general",
-    "delta_residual",
-    "delta_structure",
-    "enumerate_curves",
-    "enumerate_weight_grid",
-    "from_multidegree",
-    "is_balanced",
-    "is_locally_free",
-    "is_strictly_balanced",
-    "lambda_vector",
-    "oc_stability",
-    "omega_degree",
-    "rank1_stability",
-    "restrict",
-    "restricted_wdeg",
-    "run_campaign",
-    "sample_polarizations",
-    "slope_report",
-    "stability_polytope",
-    "sufficient_check",
-    "tensor_by_multidegree",
-    "validate_datum",
-    "verify_path_identities",
-]
+_EXPORTS = {
+    "balanced": (
+        "MultidegreeBundle", "balanced_stability_bridge", "is_balanced",
+        "is_strictly_balanced", "omega_degree",
+    ),
+    "curve": ("CurveClass", "CurveGraph", "DualGraph", "Subcurve"),
+    "errors": ("NodalPolError",),
+    "goodness": (
+        "GoodnessStatus", "GoodnessVerdict", "conjecture_probe", "decide", "sufficient_check",
+    ),
+    "pathsys": (
+        "AjFamily", "PathSystem", "aj_family", "build_path_system", "delta_decomposed",
+        "verify_path_identities",
+    ),
+    "polarization": (
+        "Polarization", "canonical", "delta_structure", "enumerate_weight_grid",
+        "from_multidegree", "lambda_vector",
+    ),
+    "search": (
+        "CampaignConfig", "CampaignReport", "enumerate_curves", "run_campaign",
+        "sample_polarizations",
+    ),
+    "sheafdata": (
+        "SheafDatum", "SheafSlopeReport", "delta_general", "delta_residual",
+        "is_locally_free", "restrict", "restricted_wdeg", "slope_report",
+        "tensor_by_multidegree", "validate_datum",
+    ),
+    "stability": (
+        "StabilityPolytope", "StabilityVerdict", "oc_stability", "rank1_stability",
+        "stability_polytope",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

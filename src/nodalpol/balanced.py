@@ -16,8 +16,8 @@ dualizing sheaf is used; the bundle itself is never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curve import CurveGraph, Subcurve
 from .errors import UnsupportedCurveError
@@ -26,8 +26,7 @@ from .polarization import from_multidegree
 from .stability import oc_stability
 
 
-@dataclass(frozen=True)
-class MultidegreeBundle:
+class MultidegreeBundle(NamedTuple):
     """A line bundle seen only through its vector of component degrees."""
 
     degrees: tuple[int, ...]
@@ -46,8 +45,7 @@ def omega_degree(b: Subcurve) -> int:
     return 2 * b.arithmetic_genus - 2 + b.boundary_size
 
 
-@dataclass(frozen=True)
-class BalanceViolation:
+class BalanceViolation(NamedTuple):
     """One failed balance condition, for reporting."""
 
     kind: str               # "exceptional-degree" or "subcurve-window"
@@ -133,8 +131,7 @@ def balance_report(
     return _balance_scan(curve, bundle)
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(NamedTuple):
     """Cross-check between strict balance and stability of O_C.
 
     Applicable to stable curves with an ample multidegree of total

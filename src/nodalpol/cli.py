@@ -9,7 +9,9 @@ numeric output is exact rational text.
 :func:`main` builds the argument parser once per process, on its first
 call, and dispatches a command by name to the ``_cmd_<name>`` function
 bound in this module at that moment, so a wrapper or a test double put in
-its place takes effect.
+its place takes effect.  ``balanced`` and ``search-conjecture`` import
+their modules, :mod:`nodalpol.balanced` and :mod:`nodalpol.search`, when
+they run; the other commands never load them.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ import sys
 from functools import cache
 
 from . import jsonio
-from .balanced import MultidegreeBundle, balance_report, balanced_stability_bridge
 from .errors import NodalPolError
 from .goodness import GoodnessStatus, GoodnessVerdict, conjecture_probe, decide
 from .pathsys import aj_defects_scaled, build_path_system
 from .polarization import canonical, scaled_lambda, subcurve_defects_scaled
-from .search import CampaignConfig, run_campaign
 from .stability import StabilityVerdict, oc_stability, stability_polytope
 
 SUBCURVE_TABLE_LIMIT = 12  # 2^gamma growth; larger curves get a notice
@@ -137,6 +137,8 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def _cmd_balanced(args: argparse.Namespace) -> int:
+    from .balanced import MultidegreeBundle, balance_report, balanced_stability_bridge
+
     curve = jsonio.load_curve(args.curve)
     degrees = _parse_degrees(args.degrees, curve.gamma)
     bundle = MultidegreeBundle(degrees)
@@ -207,6 +209,8 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
 
 
 def _cmd_search_conjecture(args: argparse.Namespace) -> int:
+    from .search import CampaignConfig, run_campaign
+
     cfg = CampaignConfig(
         max_vertices=args.max_vertices,
         max_edges=args.max_edges,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidCurveError, UnsupportedCurveError
 
@@ -96,8 +96,7 @@ class SubcurveColumns:
         return len(self.masks)
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     """Classification flags of a nodal curve.
 
     ``stable``/``semistable``/``quasistable`` refer to the curve itself

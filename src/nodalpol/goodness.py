@@ -56,9 +56,9 @@ sheaves on actual curves rather than this numeric model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curve import CurveGraph, Subcurve
 from .pathsys import aj_defects_scaled, build_path_system, delta_decomposed_scaled
@@ -87,8 +87,7 @@ class GoodnessStatus(Enum):
     NOT_GOOD = "NotGood"
 
 
-@dataclass(frozen=True)
-class GoodnessVerdict:
+class GoodnessVerdict(NamedTuple):
     """Verdict plus the object backing it.
 
     ``certificate_kind`` (``PATH_WINDOW`` or ``LEVEL_SET``) is set for
@@ -228,8 +227,7 @@ def decide(
     return _level_set_certificate(stability)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Joint stability/goodness outcome for one polarized curve, with the
     pair's :func:`scaled_lambda` for callers that need it next."""
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .curve import CurveGraph
 from .errors import InvalidCurveError, InvalidPolarizationError, SchemaError
@@ -77,8 +76,7 @@ def format_rational(x: Fraction) -> str:
     return format_scaled(x.numerator, x.denominator)
 
 
-@dataclass(frozen=True)
-class Prerendered:
+class Prerendered(NamedTuple):
     """A JSON value as :func:`canonical_dumps` writes it at some depth,
     without the final newline; one that spans lines shows that depth in
     the indentation of its closing bracket.  Placed anywhere in a

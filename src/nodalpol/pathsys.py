@@ -37,7 +37,6 @@ suffix-closure check of the construction runs once per (graph, base).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -57,8 +56,7 @@ class AjGeometry(NamedTuple):
     boundary: int
 
 
-@dataclass(frozen=True)
-class PathSystem:
+class PathSystem(NamedTuple):
     """Marking, shortest-path tree and edge orientation for one base choice.
 
     Only index data are stored: vertices and edges are named by their
@@ -246,8 +244,7 @@ def _construct(graph: DualGraph, base: int) -> PathSystem:
     )
 
 
-@dataclass(frozen=True)
-class AjEntry:
+class AjEntry(NamedTuple):
     """One marked edge's subcurve with its boundary size and defect."""
 
     edge_id: int
@@ -256,8 +253,7 @@ class AjEntry:
     delta: Fraction | None
 
 
-@dataclass(frozen=True)
-class AjFamily:
+class AjFamily(NamedTuple):
     path_system: PathSystem
     entries: tuple[AjEntry, ...]
 

@@ -230,10 +230,25 @@ def enumerate_curves(cfg: CampaignConfig) -> Iterator[CurveGraph]:
                     yield graph.decorate(genera)
 
 
+_EDGE_TEXT = '\n    {\n      "ends": [\n        %d,\n        %d\n      ],\n      "id": %d\n    }'
+_VERTEX_TEXT = '\n    {\n      "genus": %d,\n      "id": %d\n    }'
+
+
 def curve_hash(curve: CurveGraph) -> str:
-    """Stable short hash of the canonical JSON encoding of the curve."""
-    text = canonical_dumps(curve_to_obj(curve))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    """Stable short hash of the canonical JSON encoding of the curve: the
+    text of ``canonical_dumps(curve_to_obj(curve))``, written directly from
+    the ids, genera and edge ends (stored smaller end first)."""
+    edges = ",".join(
+        [_EDGE_TEXT % (a, b, eid) for eid, (a, b) in zip(curve.edge_ids, curve.edge_ends)]
+    )
+    vertices = ",".join(
+        [_VERTEX_TEXT % (g, vid) for vid, g in zip(curve.vertex_ids, curve.genera)]
+    )
+    text = (
+        '{\n  "edges": ' + (f"[{edges}\n  ]" if edges else "[]")
+        + f',\n  "vertices": [{vertices}\n  ]\n}}\n'
+    )
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
 # -- polarization sampling ------------------------------------------------

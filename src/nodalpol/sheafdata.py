@@ -25,7 +25,6 @@ evaluation suffices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -34,8 +33,7 @@ from .errors import InvalidSheafError
 from .polarization import Polarization, scaled_lambda
 
 
-@dataclass(frozen=True)
-class SheafDatum:
+class SheafDatum(NamedTuple):
     """Per-component ranks and degrees plus per-node free stalk ranks.
 
     ``ranks`` and ``degrees`` are indexed like the curve's vertices,
@@ -167,8 +165,7 @@ def is_locally_free(curve: CurveGraph, e: SheafDatum) -> bool:
     return all(t == 0 for t in residual_ranks(curve, e))
 
 
-@dataclass(frozen=True)
-class SheafSlopeReport:
+class SheafSlopeReport(NamedTuple):
     """w-rank, Euler characteristic, w-degree and w-slope of a datum."""
 
     wrank: Fraction

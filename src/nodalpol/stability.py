@@ -29,9 +29,9 @@ own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .curve import CurveGraph, Subcurve, mask_members
 from .errors import (
@@ -50,8 +50,7 @@ from .polarization import (
 from .sheafdata import SheafDatum, restrict_scaled, validate_datum
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Outcome of a stability check.
 
     ``failing_subcurve`` is the first subcurve, in ascending bitmask order,
@@ -174,8 +173,7 @@ def rank1_stability(
     )
 
 
-@dataclass(frozen=True)
-class WeightWindow:
+class WeightWindow(NamedTuple):
     """Open interval constraint lower < sum(w_i, i in B) < upper."""
 
     subcurve: Subcurve
@@ -183,8 +181,7 @@ class WeightWindow:
     upper: Fraction
 
 
-@dataclass(frozen=True)
-class StabilityPolytope:
+class StabilityPolytope(NamedTuple):
     """H-representation of the weight region where O_C is stable.
 
     One window per proper connected subcurve, with complementary pairs

@@ -627,6 +627,18 @@ def _table_rows(curve: CurveGraph, w: Polarization) -> list[dict]:
     return rows
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _first_difference(text: str, expected: str) -> str:
+    got, want = text.splitlines(), expected.splitlines()
+    k = next(
+        (k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want))
+    )
+    return f"line {k}: {got[k:k + 1]} where {want[k:k + 1]} was expected"
+
+
 def _table_case(rng: random.Random, gamma: int) -> tuple[CurveGraph, Polarization]:
     """Sparse or dense, with parallel edges, shuffled ids of one to three
     digits and weight numerators 1-20."""
@@ -684,7 +696,10 @@ class TestSubcurveTable:
         lam, q = scaled_lambda(curve, w)
         defects = nodalpol.polarization.subcurve_defects_scaled(curve, lam, q)
         text = canonical_dumps(subcurve_table(curve, defects, q))
-        assert text == json.dumps(_table_rows(curve, w), indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(_table_rows(curve, w), indent=2, sort_keys=True) + "\n"
+        # Digests, not the texts: pytest would diff two texts of up to
+        # 2^16 rows before it reports.
+        assert _sha(text) == _sha(expected), _first_difference(text, expected)
 
     def test_seventeen_components_refused(self):
         curve = CurveGraph.from_genera([1] * 17, [(k, k + 1) for k in range(1, 17)])

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -15,6 +14,7 @@ from nodalpol import (
     run_campaign,
     sample_polarizations,
 )
+from nodalpol.jsonio import canonical_dumps, curve_to_obj
 from nodalpol.pathsys import delta_decomposed_scaled
 from nodalpol.search import SplitMix64, curve_hash
 from nodalpol.sheafdata import residual_ranks
@@ -264,6 +264,23 @@ class TestRunCampaign:
         assert curve_hash(c) == curve_hash(again)
         assert len(curve_hash(c)) == 12
 
+    def test_curve_hash_is_that_of_the_canonical_json(self):
+        # Every curve of the benchmark's exhaustive and random campaign
+        # bounds, one-component curves without a node, and ids that are
+        # neither small nor consecutive.
+        curves = [
+            *enumerate_curves(cfg(max_vertices=4, max_edges=5, max_genus=2)),
+            *enumerate_curves(
+                cfg(max_vertices=5, max_edges=5, mode="random", sample_count=1)
+            ),
+            *(CurveGraph([(7, g)], []) for g in range(4)),
+            CurveGraph([(30, 1), (12, 0), (5, 11)], [(90, (30, 12)), (4, (5, 30)), (17, (12, 5))]),
+        ]
+        assert len(curves) == 1201 + 600 + 5
+        for c in curves:
+            text = canonical_dumps(curve_to_obj(c))
+            assert curve_hash(c) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+
 
 class TestIdentityProofs:
     """The identity suite proves each identity once per curve, base or
@@ -280,7 +297,7 @@ class TestIdentityProofs:
     @staticmethod
     def _path_orientation_swapped(ps, q, aj, e):
         plan = tuple((succ, pred, pos) for pred, succ, pos in ps.edge_plan)
-        return delta_decomposed_scaled(replace(ps, edge_plan=plan), q, aj, e)
+        return delta_decomposed_scaled(ps._replace(edge_plan=plan), q, aj, e)
 
     @staticmethod
     def _restriction_counts_boundary(curve, lam, q, e, mask):
