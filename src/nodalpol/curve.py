@@ -111,20 +111,6 @@ class CurveClass(NamedTuple):
     cycle_of_rationals: bool
 
 
-def _check_vertex_ids(ids: Sequence[int]) -> None:
-    """Reject an empty, repeated, non-positive or oversized id list (sorted)."""
-    if not ids:
-        raise InvalidCurveError("a curve needs at least one component")
-    if len(set(ids)) != len(ids):
-        raise InvalidCurveError("duplicate vertex id")
-    if ids[0] <= 0:
-        raise InvalidCurveError(f"vertex ids must be positive, got {ids[0]}")
-    if len(ids) > MAX_COMPONENTS:
-        raise InvalidCurveError(
-            f"at most {MAX_COMPONENTS} components are supported, got {len(ids)}"
-        )
-
-
 class _Multigraph:
     """Genus-free queries, shared by :class:`DualGraph` and
     :class:`CurveGraph`, which holds its graph's index data.
@@ -232,7 +218,16 @@ class DualGraph(_Multigraph):
         edges: Iterable[tuple[int, tuple[int, int]]],
     ) -> None:
         ids = sorted(int(i) for i in vertex_ids)
-        _check_vertex_ids(ids)
+        if not ids:
+            raise InvalidCurveError("a curve needs at least one component")
+        if len(set(ids)) != len(ids):
+            raise InvalidCurveError("duplicate vertex id")
+        if ids[0] <= 0:
+            raise InvalidCurveError(f"vertex ids must be positive, got {ids[0]}")
+        if len(ids) > MAX_COMPONENTS:
+            raise InvalidCurveError(
+                f"at most {MAX_COMPONENTS} components are supported, got {len(ids)}"
+            )
         self.vertex_ids: tuple[int, ...] = tuple(ids)
         self._index_of_id = {vid: k for k, vid in enumerate(self.vertex_ids)}
 
@@ -285,14 +280,6 @@ class DualGraph(_Multigraph):
         The curve shares this object and its index data; only the genera
         and the per-curve caches are new.
         """
-        genera = tuple(int(g) for g in genera)
-        if len(genera) != self.gamma:
-            raise InvalidCurveError(
-                f"{len(genera)} genera for {self.gamma} components"
-            )
-        for vid, g in zip(self.vertex_ids, genera):
-            if g < 0:
-                raise InvalidCurveError(f"vertex {vid} has negative genus {g}")
         curve = CurveGraph.__new__(CurveGraph)
         curve._decorate(self, genera)
         return curve
@@ -323,15 +310,22 @@ def _grow_subcurves(graph: DualGraph) -> tuple[tuple, tuple[int, ...]]:
     deg = graph._vertex_degrees
     # Edge multiplicities as layered masks: layer j of vertex u holds the
     # neighbours joined to u by more than j nodes, so the nodes between u
-    # and a set S number sum(|layer & S|) over the layers.
-    mult = [[0] * gamma for _ in range(gamma)]
-    for ia, ib in graph._edge_index_pairs:
-        mult[ia][ib] += 1
-        mult[ib][ia] += 1
-    layers = [
-        tuple(sum(1 << w for w in range(gamma) if row[w] > j) for j in range(max(row)))
-        for row in mult
-    ]
+    # and a set S number sum(|layer & S|) over the layers.  A simple graph
+    # has one layer, its adjacency masks.
+    pairs = graph._edge_index_pairs
+    if len(set(pairs)) == len(pairs):
+        layers = [(row,) for row in adj]
+    else:
+        mult = [[0] * gamma for _ in range(gamma)]
+        for ia, ib in pairs:
+            mult[ia][ib] += 1
+            mult[ib][ia] += 1
+        layers = [
+            tuple(
+                sum(1 << w for w in range(gamma) if row[w] > j) for j in range(max(row))
+            )
+            for row in mult
+        ]
     # Per connected set: its mask, its growth index, its parent's (-1 for a
     # single vertex), the vertex added, internal nodes, boundary nodes, and
     # the nodes joining the vertex to the parent minus one.
@@ -340,37 +334,54 @@ def _grow_subcurves(graph: DualGraph) -> tuple[tuple, tuple[int, ...]]:
         low = 1 << v
         # (mask, neighbours of the mask, banned, parent, vertex added,
         # internal, degree sum, joining nodes - 1); the banned set always
-        # covers the mask.
+        # covers the mask.  An entry's last child is grown in place: it
+        # would be the next one popped.
         stack = [(low, adj[v], (low << 1) - 1, -1, v, 0, deg[v], -1)]
         while stack:
             mask, reach, banned, parent, added, internal, dsum, step = stack.pop()
-            here = len(grown)
-            if here == MAX_SUBSET_MASKS:
-                raise UnsupportedCurveError(
-                    f"more than {MAX_SUBSET_MASKS} connected subcurves"
-                )
-            grown.append((mask, here, parent, added, internal, dsum - 2 * internal, step))
-            frontier = reach & ~banned
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                banned |= bit
-                u = bit.bit_length() - 1
-                joined = 0
-                for layer in layers[u]:
-                    joined += (layer & mask).bit_count()
-                stack.append(
-                    (
-                        mask | bit,
-                        reach | adj[u],
-                        banned,
-                        here,
-                        u,
-                        internal + joined,
-                        dsum + deg[u],
-                        joined - 1,
+            while True:
+                here = len(grown)
+                if here == MAX_SUBSET_MASKS:
+                    raise UnsupportedCurveError(
+                        f"more than {MAX_SUBSET_MASKS} connected subcurves"
                     )
+                grown.append(
+                    (mask, here, parent, added, internal, dsum - 2 * internal, step)
                 )
+                frontier = reach & ~banned
+                if not frontier:
+                    break
+                banned |= frontier
+                # Every child bans the frontier vertices below its own, so
+                # the last (highest) one bans the whole frontier.
+                while True:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    u = bit.bit_length() - 1
+                    joined = 0
+                    for layer in layers[u]:
+                        joined += (layer & mask).bit_count()
+                    if not frontier:
+                        break
+                    stack.append(
+                        (
+                            mask | bit,
+                            reach | adj[u],
+                            banned ^ frontier,
+                            here,
+                            u,
+                            internal + joined,
+                            dsum + deg[u],
+                            joined - 1,
+                        )
+                    )
+                mask |= bit
+                reach |= adj[u]
+                parent = here
+                added = u
+                internal += joined
+                dsum += deg[u]
+                step = joined - 1
     grown.sort(key=itemgetter(0))  # masks are distinct
     grown.pop()  # the full mask, the largest of all
     columns = tuple(zip(*grown)) or ((),) * 7  # a single component has none
@@ -402,16 +413,22 @@ class CurveGraph(_Multigraph):
         vertices: Iterable[tuple[int, int]],
         edges: Iterable[tuple[int, tuple[int, int]]],
     ) -> None:
-        vlist = [(int(i), int(g)) for i, g in vertices]
-        vlist.sort()
-        ids = [i for i, _ in vlist]
-        _check_vertex_ids(ids)
-        for i, g in vlist:
-            if g < 0:
-                raise InvalidCurveError(f"vertex {i} has negative genus {g}")
-        self._decorate(DualGraph(ids, edges), tuple(g for _, g in vlist))
+        # The ids are checked once, by the dual graph; the genera follow
+        # them in id order.
+        vlist = sorted(((int(i), g) for i, g in vertices), key=itemgetter(0))
+        self._decorate(DualGraph([i for i, _ in vlist], edges), [g for _, g in vlist])
 
-    def _decorate(self, graph: DualGraph, genera: tuple[int, ...]) -> None:
+    def _decorate(self, graph: DualGraph, genera: Iterable[int]) -> None:
+        """Make this object the curve with ``graph`` and ``genera`` in
+        vertex-id order, checking the genera."""
+        genera = tuple(int(g) for g in genera)
+        if len(genera) != graph.gamma:
+            raise InvalidCurveError(
+                f"{len(genera)} genera for {graph.gamma} components"
+            )
+        for vid, g in zip(graph.vertex_ids, genera):
+            if g < 0:
+                raise InvalidCurveError(f"vertex {vid} has negative genus {g}")
         self.graph = graph
         self.genera: tuple[int, ...] = genera
         self.vertex_ids = graph.vertex_ids

@@ -27,7 +27,7 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
@@ -46,8 +46,14 @@ def _is_int(x: object) -> bool:
 
 
 def parse_rational(text: object) -> Fraction:
+    return Fraction(*_parse_scaled(text))
+
+
+def _parse_scaled(text: object) -> tuple[int, int]:
+    """A JSON rational as ``(numerator, denominator)``, the denominator
+    positive but the pair not reduced."""
     if _is_int(text):
-        return Fraction(text)
+        return text, 1  # type: ignore[return-value]
     if not isinstance(text, str):
         raise SchemaError(f"expected a rational string, got {text!r}")
     m = _RATIONAL_RE.match(text.strip())
@@ -60,7 +66,7 @@ def parse_rational(text: object) -> Fraction:
         raise SchemaError(f"rational too long: {exc}") from None
     if den <= 0:
         raise SchemaError(f"rational {text!r} needs a positive denominator")
-    return Fraction(num, den)
+    return num, den
 
 
 def format_scaled(num: int, den: int) -> str:
@@ -136,7 +142,19 @@ def _encode(x: Any, pad: str) -> str:
 
 
 def canonical_dumps(obj: Any) -> str:
-    return _encode(obj, "\n") + "\n"
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it,
+    and a newline.  A top-level dict is joined once from its members'
+    texts, so a large member, such as a prerendered table, is copied once."""
+    if type(obj) is not dict or not obj:
+        return _encode(obj, "\n") + "\n"
+    parts = []
+    for key in sorted(obj):
+        if type(key) is not str:
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        parts += (",\n  ", _quote(key), ": ", _encode(obj[key], "\n  "))
+    parts[0] = "{\n  "
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _subset_texts(texts: Sequence[str]) -> list[str]:
@@ -250,15 +268,17 @@ def polarization_from_obj(obj: Any) -> Polarization:
         raise SchemaError("polarization document must be an object with \"weights\"")
     if not isinstance(obj["weights"], list) or not obj["weights"]:
         raise SchemaError("\"weights\" must be a non-empty list")
-    weights = tuple(parse_rational(w) for w in obj["weights"])
+    pairs = [_parse_scaled(w) for w in obj["weights"]]
+    q = lcm(*(den for _, den in pairs))
     try:
-        return Polarization(weights)
+        return Polarization.from_numerators([num * (q // den) for num, den in pairs], q)
     except InvalidPolarizationError as exc:
         raise SchemaError(str(exc)) from exc
 
 
 def polarization_to_obj(w: Polarization) -> dict:
-    return {"weights": [format_rational(x) for x in w.weights]}
+    q = w.common_denominator()
+    return {"weights": [format_scaled(n, q) for n in w.numerators]}
 
 
 # -- sheaf data -----------------------------------------------------------

@@ -175,21 +175,37 @@ def _construct(graph: DualGraph, base: int) -> PathSystem:
         raise AssertionError("the marked simple graph is disconnected")
 
     # Parent = smallest-id neighbour one level up; this makes every tree
-    # path minimal and suffix-closed.  Vertex indices follow id order.
-    parent = [(-1, -1)] * gamma
+    # path minimal and suffix-closed.  Vertex indices follow id order.  A
+    # path is its vertex's tree edge in front of its parent's path.
+    parent = [-1] * gamma
     child_of: dict[int, int] = {}
+    path_edges: list[tuple[int, ...]] = [()] * gamma
     for v in order[1:]:
         up = depth[v] - 1
         for u, j in neighbours[v]:
             if depth[u] == up:
-                parent[v] = (u, j)
+                parent[v] = u
                 child_of[j] = v
+                path_edges[v] = (j,) + path_edges[u]
                 break
 
-    # Far-side subtree of each tree edge, accumulated bottom-up.
+    # An edge has exactly one end in the subtree of v when v lies on the
+    # tree path from one end up to where the two paths meet, so one walk
+    # per edge counts every subtree's boundary.  Degree sums count each
+    # internal node twice and each boundary node once.
+    boundary = [0] * gamma
+    for ia, ib in graph.edge_index_pairs():
+        while ia != ib:
+            if depth[ia] < depth[ib]:
+                ia, ib = ib, ia
+            boundary[ia] += 1
+            ia = parent[ia]
     subtree = [1 << v for v in range(gamma)]
+    degree_sum = list(graph.vertex_degrees)
     for v in reversed(order[1:]):
-        subtree[parent[v][0]] |= subtree[v]
+        u = parent[v]
+        subtree[u] |= subtree[v]
+        degree_sum[u] += degree_sum[v]
 
     eids = graph.edge_ids
     geometry = []
@@ -204,10 +220,15 @@ def _construct(graph: DualGraph, base: int) -> PathSystem:
             raise AssertionError("a far-side subcurve is disconnected")
         if mask != full and not graph.mask_is_connected(full ^ mask):
             raise AssertionError("a far-side complement is disconnected")
-        internal, boundary = graph.subset_counts(mask)
         geometry_pos[j] = len(geometry)
         geometry.append(
-            AjGeometry(eids[j], mask, mask_members(mask), internal, boundary)
+            AjGeometry(
+                eids[j],
+                mask,
+                mask_members(mask),
+                (degree_sum[v] - boundary[v]) // 2,
+                boundary[v],
+            )
         )
 
     # Orientation: the deeper endpoint precedes; equal depth breaks towards
@@ -218,21 +239,13 @@ def _construct(graph: DualGraph, base: int) -> PathSystem:
         pred, succ = (ib, ia) if depth[ib] > depth[ia] else (ia, ib)
         edge_plan.append((pred, succ, geometry_pos.get(j, -1)))
 
-    path_edges = []
-    for v in range(gamma):
-        path = []
-        u = v
-        while u != base_idx:
-            u, j = parent[u]
-            path.append(j)
-        path_edges.append(tuple(path))
     # Parent-pointer paths are suffix-closed and minimal by construction;
     # the checks document both properties and guard future refactors.
     for v in range(gamma):
         path = path_edges[v]
         if len(path) != depth[v]:
             raise AssertionError("tree path length disagrees with depth")
-        if v != base_idx and path[1:] != path_edges[parent[v][0]]:
+        if v != base_idx and path[1:] != path_edges[parent[v]]:
             raise AssertionError("tree paths are not suffix-closed")
 
     return PathSystem(

@@ -19,7 +19,7 @@ never enters one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -41,65 +41,111 @@ class ScaledLambda(NamedTuple):
     q: int  # common denominator of the weights
 
 
-@dataclass(frozen=True, eq=False)
 class Polarization:
     """Vector of exact positive rational weights summing to one.
 
     For a one-component curve the single weight is exactly 1; otherwise
-    every weight lies strictly between 0 and 1.
+    every weight lies strictly between 0 and 1.  The state is integer:
+    ``numerators`` over :meth:`common_denominator`, the least common
+    denominator of the weights, so equal weights give equal integers.
+    ``weights`` makes the ``Fraction`` values on first read.  Instances
+    are immutable.
     """
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("_numerators", "_denominator", "_weights")
 
-    def __post_init__(self) -> None:
-        ws = tuple(Fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
-        if not ws:
-            raise InvalidPolarizationError("a polarization needs at least one weight")
+    def __init__(self, weights: Iterable[object]) -> None:
+        ws = tuple(Fraction(w) for w in weights)  # type: ignore[arg-type]
         q = lcm(*(w.denominator for w in ws))
-        nums = tuple(w.numerator * (q // w.denominator) for w in ws)
-        # The weights as integers over their common denominator q; every
-        # lambda kernel starts from these.
-        object.__setattr__(self, "_scaled", (nums, q))
+        self._set(tuple(w.numerator * (q // w.denominator) for w in ws), q)
+        object.__setattr__(self, "_weights", ws)
+
+    @classmethod
+    def from_numerators(
+        cls, numerators: Sequence[int], denominator: int
+    ) -> "Polarization":
+        """The weights ``numerators[k] / denominator``, built and checked
+        on the integers; no ``Fraction`` is made."""
+        # Dividing by the common factor leaves the least common denominator.
+        g = gcd(denominator, *numerators) or 1
+        w = cls.__new__(cls)
+        w._set(tuple(n // g for n in numerators), denominator // g)
+        object.__setattr__(w, "_weights", None)
+        return w
+
+    def _set(self, nums: tuple[int, ...], q: int) -> None:
+        if not nums:
+            raise InvalidPolarizationError("a polarization needs at least one weight")
+        if q <= 0:
+            raise InvalidPolarizationError(
+                f"the common denominator must be positive, got {q}"
+            )
         if sum(nums) != q:
             raise InvalidPolarizationError(
-                f"weights must sum to 1 exactly, got {sum(ws)}"
+                f"weights must sum to 1 exactly, got {Fraction(sum(nums), q)}"
             )
-        if len(ws) == 1:
-            return
-        for k, n in enumerate(nums):
-            if not 0 < n < q:
-                raise InvalidPolarizationError(
-                    f"weight #{k + 1} = {ws[k]} is outside the open interval (0, 1)"
-                )
+        if len(nums) > 1:
+            for k, n in enumerate(nums):
+                if not 0 < n < q:
+                    raise InvalidPolarizationError(
+                        f"weight #{k + 1} = {Fraction(n, q)} is outside the "
+                        "open interval (0, 1)"
+                    )
+        object.__setattr__(self, "_numerators", nums)
+        object.__setattr__(self, "_denominator", q)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Polarization is immutable; cannot set {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (Polarization.from_numerators, (self._numerators, self._denominator))
 
     @classmethod
     def of(cls, values: Iterable[object]) -> "Polarization":
-        return cls(tuple(Fraction(v) for v in values))  # type: ignore[arg-type]
+        return cls(values)
 
     @classmethod
     def uniform(cls, gamma: int) -> "Polarization":
-        return cls(tuple(Fraction(1, gamma) for _ in range(gamma)))
+        return cls.from_numerators((1,) * gamma, gamma)
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        if self._weights is None:
+            q = self._denominator
+            object.__setattr__(
+                self, "_weights", tuple(Fraction(n, q) for n in self._numerators)
+            )
+        return self._weights
 
     @property
     def gamma(self) -> int:
-        return len(self.weights)
+        return len(self._numerators)
 
     def common_denominator(self) -> int:
-        return self._scaled[1]  # type: ignore[attr-defined]
+        return self._denominator
 
     @property
     def numerators(self) -> tuple[int, ...]:
         """The weights times :meth:`common_denominator`."""
-        return self._scaled[0]  # type: ignore[attr-defined]
+        return self._numerators
 
     def __hash__(self) -> int:
-        return hash(self.weights)
+        # hash(self.weights) without making them: Python hashes a rational
+        # n/q as n * q^-1 modulo sys.hash_info.modulus, and the weights
+        # here are positive and share one q.
+        modulus = sys.hash_info.modulus
+        if self._denominator % modulus == 0:
+            return hash(self.weights)
+        inverse = pow(self._denominator, -1, modulus)
+        return hash(tuple(n * inverse % modulus for n in self._numerators))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polarization):
             return NotImplemented
-        return self.weights == other.weights
+        return (
+            self._denominator == other._denominator
+            and self._numerators == other._numerators
+        )
 
     def __repr__(self) -> str:
         return f"Polarization({', '.join(str(w) for w in self.weights)})"
@@ -115,8 +161,7 @@ def from_multidegree(curve: CurveGraph, degrees: Sequence[int]) -> Polarization:
         raise NonAmpleMultidegreeError(
             f"every degree must be positive for ampleness, got {tuple(degrees)}"
         )
-    total = sum(degrees)
-    return Polarization(tuple(Fraction(d, total) for d in degrees))
+    return Polarization.from_numerators(degrees, sum(degrees))
 
 
 def canonical(curve: CurveGraph) -> Polarization:
@@ -130,12 +175,9 @@ def canonical(curve: CurveGraph) -> Polarization:
             "the canonical polarization needs a stable curve "
             f"(arithmetic genus {curve.arithmetic_genus})"
         )
-    pa = curve.arithmetic_genus
-    return Polarization(
-        tuple(
-            Fraction(2 * (g - 1) + d, 2 * (pa - 1))
-            for g, d in zip(curve.genera, curve.vertex_degrees)
-        )
+    return Polarization.from_numerators(
+        [2 * (g - 1) + d for g, d in zip(curve.genera, curve.vertex_degrees)],
+        2 * (curve.arithmetic_genus - 1),
     )
 
 
@@ -224,7 +266,7 @@ def enumerate_weight_grid(gamma: int, max_denominator: int) -> Iterator[Polariza
             # which is at least gamma and so was produced already.
             if gcd(q, *parts) != 1:
                 continue
-            yield Polarization(tuple(Fraction(p, q) for p in parts))
+            yield Polarization.from_numerators(parts, q)
 
 
 def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

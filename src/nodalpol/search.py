@@ -32,7 +32,12 @@ from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 from .curve import CurveGraph, DualGraph, lowest_component
 from .errors import NodalPolError
 from .goodness import GoodnessStatus, conjecture_probe
-from .jsonio import canonical_dumps, curve_to_obj, format_rational
+from .jsonio import (
+    canonical_dumps,
+    curve_to_obj,
+    format_rational,
+    polarization_to_obj,
+)
 from .pathsys import (
     aj_defects_scaled,
     build_path_system,
@@ -453,7 +458,7 @@ def run_campaign(
             genera_text = ";".join(str(g) for g in curve.genera)
             if curve.gamma not in grids:
                 grids[curve.gamma] = [
-                    (w, ";".join(format_rational(x) for x in w.weights))
+                    (w, ";".join(polarization_to_obj(w)["weights"]))
                     for w in enumerate_weight_grid(
                         curve.gamma, cfg.weight_denominator_bound
                     )

@@ -30,6 +30,7 @@ from nodalpol import (
     run_campaign,
     verify_path_identities,
 )
+from nodalpol.curve import mask_members
 from nodalpol.errors import InvalidCurveError
 
 F = Fraction
@@ -117,6 +118,24 @@ class TestBuild:
             for entry in fam.non_empty():
                 assert entry.subcurve.is_connected
                 assert entry.subcurve.complement().is_connected
+
+    def test_far_side_counts_match_subset_counts(self):
+        # Multigraphs with parallel edges and shuffled vertex and edge ids.
+        rng = random.Random(43)
+        for _ in range(60):
+            gamma = rng.randint(2, 9)
+            ids = rng.sample(range(1, 100), gamma)
+            ends = [(ids[rng.randrange(v)], ids[v]) for v in range(1, gamma)]
+            ends += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 2 * gamma))]
+            ends += rng.choices(ends, k=rng.randint(1, 3))
+            edges = list(zip(rng.sample(range(1, 200), len(ends)), ends))
+            c = CurveGraph([(v, rng.randint(0, 2)) for v in ids], edges)
+            for base in ids:
+                for geo in build_path_system(c, base).aj_geometry:
+                    if geo.mask:
+                        counts = c.subset_counts(geo.mask)
+                        assert (geo.internal, geo.boundary) == counts
+                        assert geo.members == mask_members(geo.mask)
 
 
 class TestStar2:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -72,6 +73,62 @@ class TestPolarizationInvariants:
         b = Polarization((F(1, 2), F(1, 4), F(1, 4)))
         assert a == b and hash(a) == hash(b) == hash(b.weights)
         assert len({a, b, Polarization.uniform(3)}) == 2
+
+    def test_integer_build_matches_fraction_build(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            gamma = rng.randint(1, 6)
+            nums = [rng.randint(1, 30) for _ in range(gamma)]
+            # An unreduced common denominator: both builds must reduce it.
+            scale = rng.randint(1, 4)
+            q = sum(nums) * scale
+            nums = [n * scale for n in nums]
+            _assert_same(
+                Polarization.from_numerators(nums, q),
+                Polarization(tuple(F(n, q) for n in nums)),
+            )
+
+    @pytest.mark.parametrize(
+        "nums, q",
+        [
+            ((), 1),
+            ((3, 2), 6),  # sums to 5/6
+            ((0, 1), 1),
+            ((3, -1), 2),
+            ((1,), 2),
+            ((4, 2), 3),  # sums to 2
+        ],
+    )
+    def test_integer_build_rejects_as_the_fraction_build(self, nums, q):
+        with pytest.raises(InvalidPolarizationError) as by_fractions:
+            Polarization(tuple(F(n, q) for n in nums))
+        with pytest.raises(InvalidPolarizationError) as by_integers:
+            Polarization.from_numerators(nums, q)
+        assert str(by_integers.value) == str(by_fractions.value)
+
+    def test_hash_over_a_multiple_of_the_hash_modulus(self):
+        q = 2 * sys.hash_info.modulus
+        _assert_same(
+            Polarization.from_numerators((1, q - 1), q),
+            Polarization((F(1, q), F(q - 1, q))),
+        )
+
+    def test_nonpositive_denominator_rejected(self):
+        for q in (0, -2):
+            with pytest.raises(InvalidPolarizationError, match="positive"):
+                Polarization.from_numerators((-1, -1), q)
+        with pytest.raises(InvalidPolarizationError, match="at least one"):
+            Polarization.uniform(0)
+
+
+def _assert_same(a: Polarization, b: Polarization) -> None:
+    """``a`` and ``b`` agree in every view of their weights."""
+    assert a.numerators == b.numerators
+    assert a.common_denominator() == b.common_denominator()
+    assert a.weights == b.weights
+    assert a == b and hash(a) == hash(b) == hash(b.weights)
+    assert repr(a) == repr(b)
+
 
 class TestFromMultidegree:
     def test_symmetric(self):
@@ -190,8 +247,11 @@ class TestWeightGrid:
     @pytest.mark.parametrize("gamma", [1, 2, 3, 4, 5])
     def test_matches_set_based_enumeration(self, gamma):
         for bound in range(1, 13):
-            grid = [p.weights for p in enumerate_weight_grid(gamma, bound)]
-            assert grid == _grid_by_set(gamma, bound), (gamma, bound)
+            grid = list(enumerate_weight_grid(gamma, bound))
+            oracle = [Polarization(ws) for ws in _grid_by_set(gamma, bound)]
+            assert len(grid) == len(oracle), (gamma, bound)
+            for a, b in zip(grid, oracle):
+                _assert_same(a, b)
 
     def test_two_components_bound_three(self):
         grid = [p.weights for p in enumerate_weight_grid(2, 3)]
