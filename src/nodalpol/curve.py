@@ -310,22 +310,19 @@ def _grow_subcurves(graph: DualGraph) -> tuple[tuple, tuple[int, ...]]:
     deg = graph._vertex_degrees
     # Edge multiplicities as layered masks: layer j of vertex u holds the
     # neighbours joined to u by more than j nodes, so the nodes between u
-    # and a set S number sum(|layer & S|) over the layers.  A simple graph
-    # has one layer, its adjacency masks.
-    pairs = graph._edge_index_pairs
-    if len(set(pairs)) == len(pairs):
-        layers = [(row,) for row in adj]
-    else:
-        mult = [[0] * gamma for _ in range(gamma)]
-        for ia, ib in pairs:
-            mult[ia][ib] += 1
-            mult[ib][ia] += 1
-        layers = [
-            tuple(
-                sum(1 << w for w in range(gamma) if row[w] > j) for j in range(max(row))
-            )
-            for row in mult
-        ]
+    # and a set S number sum(|layer & S|) over the layers.  Each node sets
+    # its far end in the first layer of each end that lacks it.
+    layers: list[list[int]] = [[] for _ in range(gamma)]
+    for ia, ib in graph._edge_index_pairs:
+        for u, w in ((ia, ib), (ib, ia)):
+            row = layers[u]
+            bit = 1 << w
+            for j, layer in enumerate(row):
+                if not layer & bit:
+                    row[j] = layer | bit
+                    break
+            else:
+                row.append(bit)
     # Per connected set: its mask, its growth index, its parent's (-1 for a
     # single vertex), the vertex added, internal nodes, boundary nodes, and
     # the nodes joining the vertex to the parent minus one.

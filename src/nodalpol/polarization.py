@@ -19,7 +19,6 @@ never enters one.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -97,6 +96,9 @@ class Polarization:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Polarization is immutable; cannot set {name!r}")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Polarization is immutable; cannot delete {name!r}")
+
     def __reduce__(self) -> tuple:
         return (Polarization.from_numerators, (self._numerators, self._denominator))
 
@@ -130,14 +132,7 @@ class Polarization:
         return self._numerators
 
     def __hash__(self) -> int:
-        # hash(self.weights) without making them: Python hashes a rational
-        # n/q as n * q^-1 modulo sys.hash_info.modulus, and the weights
-        # here are positive and share one q.
-        modulus = sys.hash_info.modulus
-        if self._denominator % modulus == 0:
-            return hash(self.weights)
-        inverse = pow(self._denominator, -1, modulus)
-        return hash(tuple(n * inverse % modulus for n in self._numerators))
+        return hash(self.weights)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polarization):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -67,6 +66,14 @@ class TestPolarizationInvariants:
         with pytest.raises(InvalidPolarizationError):
             Polarization.of([F(1, 2)])
 
+    def test_immutable(self):
+        w = Polarization.of(["1/3", "2/3"])
+        for name in ("_numerators", "_denominator", "_weights", "extra"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(w, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(w, name)
+        assert w.numerators == (1, 2) and w.weights == (F(1, 3), F(2, 3))
 
     def test_equal_polarizations_are_one_key(self):
         a = Polarization.of(["2/4", "1/4", "1/4"])
@@ -105,13 +112,6 @@ class TestPolarizationInvariants:
         with pytest.raises(InvalidPolarizationError) as by_integers:
             Polarization.from_numerators(nums, q)
         assert str(by_integers.value) == str(by_fractions.value)
-
-    def test_hash_over_a_multiple_of_the_hash_modulus(self):
-        q = 2 * sys.hash_info.modulus
-        _assert_same(
-            Polarization.from_numerators((1, q - 1), q),
-            Polarization((F(1, q), F(q - 1, q))),
-        )
 
     def test_nonpositive_denominator_rejected(self):
         for q in (0, -2):
