@@ -1,9 +1,10 @@
 """Command-line surface: scriptable JSON in, canonical JSON out.
 
 Exit codes: 0 on success with a positive/consistent verdict, 1 when a
-negative verdict was found (unstable, not good, not balanced, or campaign
-discrepancies), 2 on usage or input errors, 3 when an internal self-check
-failed (a bug, reported with the subcommand and its input paths).  All
+negative verdict was found (unstable, not good, not balanced, an empty
+stability polytope, or campaign discrepancies), 2 on usage or input
+errors, 3 when an internal self-check failed (a bug, reported with the
+subcommand and every option it was given, so that it can be replayed).  All
 numeric output is exact rational text.
 
 :func:`main` builds the argument parser once per process, on its first
@@ -203,9 +204,9 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 def _cmd_polytope(args: argparse.Namespace) -> int:
     curve = jsonio.load_curve(args.curve)
-    polytope = stability_polytope(curve, args.denominator)
+    polytope = stability_polytope(curve)
     _print(jsonio.polytope_to_obj(polytope))
-    return 0
+    return 1 if polytope.rational_tails else 0
 
 
 def _cmd_search_conjecture(args: argparse.Namespace) -> int:
@@ -303,14 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_polarization(p, required=False)
     p.add_argument("--base", type=int, required=True, help="base vertex id")
 
-    p = sub.add_parser("polytope", help="weight windows stabilizing O_C")
+    p = sub.add_parser("polytope", help="weight windows of O_C and a witness or tails")
     add_curve(p)
-    p.add_argument(
-        "--denominator",
-        type=int,
-        default=24,
-        help="denominator bound for the witness grid search",
-    )
 
     p = sub.add_parser(
         "search-conjecture", help="sweep curves and polarizations for discrepancies"
@@ -357,12 +352,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except AssertionError as exc:
         # A self-check failed: a bug, never a verdict or bad input.  Name
-        # the instance so that it can be replayed.
+        # the instance, with every option set, so that it can be replayed.
+        from shlex import quote
+
         instance = [args.command]
-        for name in ("curve", "polarization", "degrees", "base"):
-            value = getattr(args, name, None)
-            if value is not None:
-                instance.append(f"--{name} {value}")
+        for name, value in vars(args).items():
+            if name != "command" and value is not None:
+                instance.append(f"--{name.replace('_', '-')} {quote(str(value))}")
         print(f"internal error in {' '.join(instance)}: {exc}", file=sys.stderr)
         return 3
 

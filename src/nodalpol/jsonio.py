@@ -19,6 +19,10 @@ by row from the integers, since it can hold thousands of rows.  A document the
 loaders cannot turn into a curve, polarization or sheaf datum raises
 ``SchemaError``, also when it is well formed but its values are not (a loop,
 a disconnected graph, weights off the simplex).
+
+A polytope document has ``windows`` and ``witness``; when the polytope is
+empty the witness is ``null`` and ``rational_tails`` lists the ids of the
+genus-0 components with one node, which empty it.
 """
 
 from __future__ import annotations
@@ -318,7 +322,7 @@ def sheaf_to_obj(e: SheafDatum) -> dict:
 
 
 def polytope_to_obj(p: StabilityPolytope) -> dict:
-    return {
+    obj = {
         "windows": [
             {
                 "B": list(win.subcurve.member_ids),
@@ -329,6 +333,9 @@ def polytope_to_obj(p: StabilityPolytope) -> dict:
         ],
         "witness": None if p.witness is None else polarization_to_obj(p.witness),
     }
+    if p.rational_tails:
+        obj["rational_tails"] = list(p.rational_tails)
+    return obj
 
 
 # -- round trips ----------------------------------------------------------

@@ -25,25 +25,50 @@ A point lies inside every open window exactly when
 :func:`oc_stability` calls it stable, and inside every closed one exactly
 when it calls it semistable, so the polytope has no membership test of its
 own.
+
+Whether the polytope is empty is decided in closed form.  Write
+``P = p_a - 1 >= 1``.  A *rational tail* is a genus-0 component that meets
+the rest of the curve in exactly one node.
+
+Theorem.  Some polarization makes O_C stable exactly when C has no
+rational tail.  Then
+
+    w* = (1 - eps) * w_c + eps * (1/gamma, ..., 1/gamma),  eps = 1/(2P + 1),
+
+is such a polarization, where ``w_c,k = (2 g_k - 2 + deg_k) / (2P)``; its
+weights are ``((2 g_k - 2 + deg_k) * gamma + 1) / ((2P + 1) * gamma)``.
+
+Proof.  *Only if:* for a tail T, ``p_a(T) = 0`` and ``delta_T = 1``, so
+``delta_structure(T) = 1 + P * w_T > 1 = delta_T`` for every positive
+weight, and T breaks its upper window.  *If:* with no tail, every
+``2 g_k - 2 + deg_k`` is at least 0 (a genus-0 component has at least two
+nodes), so ``w_c >= 0`` and ``w*`` is positive; its weights sum to one
+because ``sum(2 g_k - 2 + deg_k) = 2P``.  For a connected B,
+``p_a(B) = sum(g_k, k in B) + N(B) - |B| + 1`` and
+``sum(deg_k, k in B) = 2 N(B) + delta_B``, so at ``w_c``
+
+    delta_structure(B) = 1 - p_a(B) + P * w_c(B) = delta_B / 2.
+
+``delta_structure(B)`` is affine in w with slope P on ``w(B)``, and for a
+proper B both ``w_c(B)`` and ``|B| / gamma`` lie in [0, 1], the second
+strictly inside, so moving from ``w_c`` to ``w*`` changes it by less than
+``P * eps = P / (2P + 1) < 1/2``.  A proper B of a connected curve has
+``delta_B >= 1``, so ``1/2 <= delta_B / 2`` and every open window holds at
+``w*``.  On a DM-stable curve ``w_c`` is itself positive: it is the
+canonical polarization, and it is the witness there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 from .curve import CurveGraph, Subcurve, mask_members
-from .errors import (
-    InvalidPolarizationError,
-    UnsupportedCurveError,
-    UnsupportedRankError,
-)
+from .errors import UnsupportedCurveError, UnsupportedRankError
 from .polarization import (
     Polarization,
     ScaledLambda,
     canonical,
-    enumerate_weight_grid,
     scaled_lambda,
     subcurve_defects_scaled,
 )
@@ -185,37 +210,34 @@ class StabilityPolytope(NamedTuple):
     """H-representation of the weight region where O_C is stable.
 
     One window per proper connected subcurve, with complementary pairs
-    deduplicated.  ``witness`` is an interior rational point when one was
-    found; its absence is reported as "no witness found", never as
-    emptiness.
+    deduplicated.  The region is empty exactly when ``rational_tails``, the
+    ids of the genus-0 components with one node in ascending order, is
+    non-empty (the module docstring proves it); ``witness`` is then
+    ``None``, and otherwise a point of the region.
     """
 
     curve: CurveGraph
     windows: tuple[WeightWindow, ...]
     witness: Polarization | None
+    rational_tails: tuple[int, ...] = ()
 
 
-def stability_polytope(
-    curve: CurveGraph, witness_denominator_bound: int = 24
-) -> StabilityPolytope:
+def stability_polytope(curve: CurveGraph) -> StabilityPolytope:
     """Weight windows equivalent to stability of O_C, plus a witness point.
 
     Requires arithmetic genus at least 2; smaller genera are handled by the
     direct stability shortcuts instead.  A subcurve whose complement is
     connected and already has a window gets none: ``delta_B - delta(O_B)``
     is the complement's defect, so the two windows are the same constraint.
-    The witness is the first point that :func:`oc_stability` calls stable
-    (the module docstring says why that is membership): the canonical
-    polarization when the curve is stable, then the weight grid with
-    denominator up to the bound, in grid order; otherwise it is absent.
+    The witness is the canonical polarization on a DM-stable curve and
+    ``w*`` of the module docstring on any other curve without a rational
+    tail; :func:`oc_stability` re-checks it.
     """
     pa = curve.arithmetic_genus
     if pa < 2:
         raise UnsupportedCurveError(
             "the weight-window description needs arithmetic genus >= 2"
         )
-    if witness_denominator_bound < 1:
-        raise InvalidPolarizationError("grid parameters must be positive")
     P = pa - 1
     windows = []
     seen_masks: set[int] = set()
@@ -232,8 +254,19 @@ def stability_polytope(
                 Fraction(genus - 1 + boundary, P),
             )
         )
-    candidates = enumerate_weight_grid(curve.gamma, witness_denominator_bound)
+    degrees = curve.vertex_degrees
+    ids_genera_degrees = zip(curve.vertex_ids, curve.genera, degrees)
+    tails = tuple(vid for vid, g, d in ids_genera_degrees if g == 0 and d == 1)
+    if tails:
+        return StabilityPolytope(curve, tuple(windows), None, tails)
     if curve.classify().stable:
-        candidates = chain((canonical(curve),), candidates)
-    witness = next((w for w in candidates if oc_stability(curve, w).stable), None)
+        witness = canonical(curve)
+    else:
+        gamma = curve.gamma
+        witness = Polarization.from_numerators(
+            [(2 * g - 2 + d) * gamma + 1 for g, d in zip(curve.genera, degrees)],
+            (2 * P + 1) * gamma,
+        )
+    if not oc_stability(curve, witness).stable:
+        raise AssertionError("the closed-form witness does not stabilize O_C")
     return StabilityPolytope(curve, tuple(windows), witness)

@@ -8,7 +8,16 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from nodalpol import AjFamily, CurveGraph, Polarization, SheafDatum, StabilityPolytope, Subcurve
+from nodalpol import (
+    AjFamily,
+    CurveGraph,
+    Polarization,
+    SheafDatum,
+    StabilityPolytope,
+    Subcurve,
+    enumerate_weight_grid,
+    oc_stability,
+)
 
 
 def random_curve(
@@ -71,6 +80,20 @@ def polytope_accepts(
         if not inside:
             return False
     return True
+
+
+def grid_witness(curve: CurveGraph, max_denominator: int) -> Polarization | None:
+    """Oracle: the first point of the weight grid up to ``max_denominator``,
+    in grid order, that :func:`oc_stability` calls stable, or ``None``.
+    Its cost grows like C(max_denominator, gamma), so keep the cap small."""
+    return next(
+        (
+            w
+            for w in enumerate_weight_grid(curve.gamma, max_denominator)
+            if oc_stability(curve, w).stable
+        ),
+        None,
+    )
 
 
 def star2_conditions(fam: AjFamily) -> list[tuple[int, bool]]:

@@ -305,13 +305,15 @@ class TestOtherCommands:
         assert time.perf_counter() - started < 5.0
         assert "error: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("denominator", ["0", "-3"])
+    @pytest.mark.parametrize("denominator", ["0", "-3", "24"])
     @pytest.mark.parametrize("stable", [True, False])
     def test_polytope_denominator_below_one_exits_2(
         self, capsys, tmp_path, stable, denominator
     ):
-        # The stable curve's witness is the canonical point, found before
-        # any grid point; the bound is checked all the same.
+        # The witness is in closed form, so the grid bound is gone: a value
+        # below one, once refused by the walk, and the walk's old default
+        # alike exit 2 as an unknown option, on a stable curve and on one
+        # that is not.
         if stable:
             curve = fixture("two_genus2_one_node.json")
         else:
@@ -325,13 +327,14 @@ class TestOtherCommands:
                 )
             )
             curve = str(path)
-        code = main(["polytope", "--curve", curve, "--denominator", denominator])
-        assert code == 2
+        with pytest.raises(SystemExit) as err:
+            main(["polytope", "--curve", curve, "--denominator", denominator])
+        assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: grid parameters must be positive" in captured.err
+        assert "unrecognized arguments: --denominator" in captured.err
 
-    def test_failed_self_check_exits_3(self, capsys, monkeypatch):
+    def test_failed_self_check_exits_3(self, capsys, monkeypatch, tmp_path):
         # A residual kernel that disagrees with the other two formulas trips
         # the witness re-check: an internal error, reported with its inputs.
         import nodalpol.goodness
@@ -344,6 +347,24 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert f"goodness --curve {curve} --polarization {weights}" in err
         assert "residual formula" in err
+
+        # A sweep names every option it was given, so that it replays.
+        import nodalpol.search
+
+        def broken_probe(*args):
+            raise AssertionError("probe self-check")
+
+        monkeypatch.setattr(nodalpol.search, "conjecture_probe", broken_probe)
+        argv = [
+            "search-conjecture", "--max-vertices", "2", "--max-edges", "2",
+            "--max-genus", "1", "--denominator", "4", "--max-rank", "2",
+            "--seed", "7", "--csv", str(tmp_path / "rows 1.csv"),
+        ]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "internal error in search-conjecture --max-vertices 2" in err
+        assert "--seed 7" in err and "probe self-check" in err
+        assert f"--csv '{tmp_path / 'rows 1.csv'}'" in err
 
     def test_balanced(self, capsys, tmp_path):
         curve = tmp_path / "genus11_banana.json"
@@ -403,6 +424,12 @@ class TestOtherCommands:
         assert code == 0
         assert obj["windows"] == [{"B": [1], "lower": "1/3", "upper": "2/3"}]
         assert obj["witness"] == {"weights": ["1/2", "1/2"]}
+        assert "rational_tails" not in obj
+        code, obj = run(
+            capsys, "polytope", "--curve", fixture("chain4_genus2_rational_tail.json")
+        )
+        assert code == 1
+        assert obj["witness"] is None and obj["rational_tails"] == [5]
 
     def test_export_dot(self, capsys):
         code, text = run(
@@ -491,7 +518,7 @@ GOLDEN_OUTPUTS = [
     (("conjecture", "--curve", "banana3_rational.json", "--polarization", "w_one_sixth.json"), 0, "ab8c6655fa885a2e3f3f8ef6fff6cdda4cda0b68aa0a6050279f46b598e53cf9"),
     (("conjecture", "--curve", "triangle_rational.json", "--polarization", "w_thirds.json"), 0, "ab8c6655fa885a2e3f3f8ef6fff6cdda4cda0b68aa0a6050279f46b598e53cf9"),
     (("canonical", "--curve", "multigraph5_mixed.json"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (("polytope", "--curve", "multigraph5_mixed.json"), 0, "441000e13fc7416c914a3a60be2bab0aee07fa914a00f8eba4b5547c2f1dadc8"),
+    (("polytope", "--curve", "multigraph5_mixed.json"), 0, "571a2fcec6e24da6f8007552fd3118d82e61944c8a23d8534798369869a656d9"),
     (("canonical", "--curve", "two_genus2_one_node.json"), 0, "933eee02de0c56d5b885eabdf2276cb81511b9499945e2f9f53ca7b02ee3d059"),
     (("polytope", "--curve", "two_genus2_one_node.json"), 0, "111e35e2cdd6374c52de0cdbbf7e62623575bd960ebd9cbeab473d6661234670"),
     (("canonical", "--curve", "elliptic_plus_rational.json"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -500,7 +527,8 @@ GOLDEN_OUTPUTS = [
     (("polytope", "--curve", "banana3_rational.json"), 0, "285b3e7e9c86c3de8675bcd4a6e360fda96558fe894fdf99447aef47b63a6e9a"),
     (("canonical", "--curve", "triangle_rational.json"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("polytope", "--curve", "triangle_rational.json"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (("polytope", "--curve", "triangle_rational.json", "--denominator", "6"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("polytope", "--curve", "chain4_genus2_rational_tail.json"), 1, "f5ce7b22f2fcc61b58b336914bcbdad98f3c95c9779f7e5fe9db53046a599230"),
+    (("polytope", "--curve", "bridge_genus30.json"), 0, "323f85c59fb7037cd997a0428c3cbabddda781d59e7360a71b467576959cf34c"),
     (("paths", "--curve", "multigraph5_mixed.json", "--base", "2"), 0, "149188f6ddd7b9b600e463e4d50898f26c5622de37d6826e8d07ad03d5fce8de"),
     (("paths", "--curve", "multigraph5_mixed.json", "--base", "2", "--polarization", "w_multigraph5.json"), 0, "431aa6359e658f7eb6ecd39b7ada84c3cf0722865fedf1b5466fc67550d79864"),
     (("paths", "--curve", "two_genus2_one_node.json", "--base", "2"), 0, "b446290377b45627e9c8b0f331333d12e6ec28407c0c07177e73893056c6756c"),

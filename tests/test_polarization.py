@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    grid_witness,
     polarized_curves,
     polytope_accepts,
     random_curve,
@@ -315,26 +317,27 @@ class TestStabilityPolytope:
         with pytest.raises(UnsupportedCurveError):
             stability_polytope(CurveGraph.from_genera([0, 0], [(1, 2), (1, 2)]))
 
-    def test_witness_by_grid_when_not_stable(self):
-        # Semistable but not stable: genus 1-0-1 chain has an exceptional
-        # component; weights near the canonical ratio still stabilize O_C.
+    def test_witness_off_the_canonical_point_when_not_stable(self):
+        # Semistable but not stable: the genus 1-0-1 chain has an exceptional
+        # component, so the witness is w* = (4/9, 1/9, 4/9) of the theorem.
         c = CurveGraph.from_genera([1, 0, 1], [(1, 2), (2, 3)])
         p = stability_polytope(c)
-        assert p.witness is not None
+        assert p.witness == Polarization.of([F(4, 9), F(1, 9), F(4, 9)])
+        assert p.rational_tails == ()
         assert polytope_accepts(p, p.witness, strict=True)
 
     def test_membership_is_the_stability_verdict(self):
         # The Fraction windows against oc_stability at every grid point up
         # to denominator 9: open windows are stability, closed ones
-        # semistability.  The witness is the first candidate the windows
-        # accept: the canonical point on stable curves, then the grid.
+        # semistability.  A curve with a rational tail has no accepted grid
+        # point and no witness; any other curve has an accepted witness.
         rng = random.Random(71)
         curves = points = stable = unstable = 0
         while curves < 80:
             c = random_curve(rng, max_gamma=5, max_extra_edges=3, max_genus=2)
             if c.arithmetic_genus < 2:
                 continue
-            p = stability_polytope(c, witness_denominator_bound=9)
+            p = stability_polytope(c)
             grid = list(enumerate_weight_grid(c.gamma, 9))
             for w in grid:
                 verdict = oc_stability(c, w)
@@ -342,9 +345,61 @@ class TestStabilityPolytope:
                 assert polytope_accepts(p, w, strict=False) == verdict.semistable
                 stable += verdict.stable
                 unstable += not verdict.stable
-            candidates = ([canonical(c)] if c.classify().stable else []) + grid
-            accepted = [w for w in candidates if polytope_accepts(p, w)]
-            assert p.witness == (accepted[0] if accepted else None)
+            if p.rational_tails:
+                assert p.witness is None
+                assert not any(polytope_accepts(p, w) for w in grid)
+            else:
+                assert polytope_accepts(p, p.witness, strict=True)
             curves += 1
             points += len(grid)
         assert points > 3000 and stable > 300 and unstable > 300
+
+    def test_rational_tail_theorem_against_the_grid_walk(self):
+        # The closed form against the capped grid walk on seeded curves
+        # with many rational components: a curve with a tail has no stable
+        # grid point, and any other curve gets a witness that both the
+        # windows and oc_stability accept, canonical on DM-stable curves.
+        rng = random.Random(19)
+        tailed = untailed = dm_stable = 0
+        while tailed + untailed < 600:
+            graph = random_curve(rng, max_gamma=7, max_extra_edges=3).graph
+            if graph.gamma < 2:
+                continue
+            c = graph.decorate(rng.choice((0, 0, 0, 1, 2)) for _ in range(graph.gamma))
+            if c.arithmetic_genus < 2:
+                continue
+            p = stability_polytope(c)
+            tails = tuple(
+                vid
+                for vid, g, d in zip(c.vertex_ids, c.genera, c.vertex_degrees)
+                if g == 0 and d == 1
+            )
+            assert p.rational_tails == tails
+            if tails:
+                assert p.witness is None
+                assert grid_witness(c, 10 if c.gamma <= 5 else 9) is None
+                tailed += 1
+                continue
+            assert oc_stability(c, p.witness).stable
+            assert polytope_accepts(p, p.witness, strict=True)
+            if c.classify().stable:
+                assert p.witness == canonical(c)
+                dm_stable += 1
+            untailed += 1
+        assert tailed > 200 and untailed > 200 and dm_stable > 60
+
+    def test_thin_polytope_gets_a_witness(self):
+        # Genus 30 - rational - genus 30: the bridge's window is
+        # (-1/59, 1/59), so no grid point below denominator 60 is inside.
+        c = CurveGraph.from_genera([30, 0, 30], [(1, 2), (2, 3)])
+        p = stability_polytope(c)
+        assert p.witness == Polarization.of([F(178, 357), F(1, 357), F(178, 357)])
+        assert oc_stability(c, p.witness).stable
+        assert grid_witness(c, 24) is None
+
+    def test_empty_polytope_answers_at_once(self):
+        c = CurveGraph.from_genera([2, 2, 2, 2, 0], [(1, 2), (2, 3), (3, 4), (4, 5)])
+        started = time.perf_counter()
+        p = stability_polytope(c)
+        assert time.perf_counter() - started < 0.1
+        assert p.witness is None and p.rational_tails == (5,)
