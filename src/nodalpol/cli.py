@@ -235,7 +235,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 def _parse_degrees(text: str, gamma: int) -> tuple[int, ...]:
     try:
-        degrees = tuple(int(part) for part in text.split(","))
+        degrees = tuple(jsonio.parse_integer(part) for part in text.split(","))
     except ValueError:
         raise NodalPolError(f"malformed degree list {text!r}") from None
     if len(degrees) != gamma:
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("balanced", help="balance checks for a multidegree")
     add_curve(p)
-    p.add_argument("--degrees", required=True, help="comma-separated multidegree")
+    p.add_argument("--degrees", required=True, help="comma-separated integers -?[0-9]+")
 
     p = sub.add_parser("paths", help="path system rooted at a base component")
     add_curve(p)

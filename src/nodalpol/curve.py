@@ -35,10 +35,11 @@ from .errors import InvalidCurveError, UnsupportedCurveError
 # and cycles up to this bound, still exponential on dense curves and stars.
 MAX_COMPONENTS = 62
 
-# The balance check and rank-one stability visit every subset of components,
-# the other scans every connected one.  A curve with more of them than this
-# is refused with an UnsupportedCurveError, instead of running for minutes
-# or hours, so every curve with at most 18 components answers.
+# Every subcurve scan visits the proper connected subcurves, and only those
+# (``stability`` proves that they decide).  A curve with more of them than
+# this is refused with an UnsupportedCurveError, instead of running for
+# minutes or hours.  Every curve with at most 18 components answers, and so
+# do chains and cycles up to ``MAX_COMPONENTS``.
 MAX_SUBSET_MASKS = 1 << 18
 
 
@@ -471,16 +472,6 @@ class CurveGraph(_Multigraph):
     def subcurve_from_mask(self, mask: int) -> "Subcurve":
         return Subcurve(self, mask)
 
-    def proper_masks(self, scan: str) -> range:
-        """Every proper non-empty subset mask, for a ``scan`` that visits
-        them all; refused beyond ``MAX_SUBSET_MASKS`` subsets."""
-        if 1 << self.gamma > MAX_SUBSET_MASKS:
-            raise UnsupportedCurveError(
-                f"{scan} visits all 2^{self.gamma} subsets of components, "
-                f"more than the limit of {MAX_SUBSET_MASKS}"
-            )
-        return range(1, self.full_mask)
-
     def connected_subcurve_stats(self) -> SubcurveColumns:
         """The :class:`SubcurveColumns` of every proper connected subcurve.
 
@@ -488,7 +479,8 @@ class CurveGraph(_Multigraph):
         memo under ``"subcurve skeleton"`` and shared by its decorations;
         each curve derives its genus column along the growth tree with one
         addition per entry.  Empty for a single component; refused once
-        more than ``MAX_SUBSET_MASKS`` subcurves are grown.
+        more than ``MAX_SUBSET_MASKS`` subcurves are grown.  This is the
+        package's one subcurve scan, so that is its one limit.
         """
         if self._connected_stats is None:
             skeleton, steps = self.graph.memo("subcurve skeleton", _grow_subcurves)

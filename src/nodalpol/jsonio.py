@@ -41,12 +41,23 @@ from .polarization import Polarization
 from .sheafdata import SheafDatum
 from .stability import StabilityPolytope
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+# The one integer grammar of text input: ASCII digits after an optional
+# minus sign.  ``int()`` alone also takes "+2", "1_0" and non-ASCII digits.
+_INTEGER = "-?[0-9]+"
+_RATIONAL_RE = re.compile(f"({_INTEGER})(?:/({_INTEGER}))?")
 
 
 def _is_int(x: object) -> bool:
     """A JSON integer; ``bool`` subclasses ``int`` but true/false are not."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def parse_integer(text: str) -> int:
+    """``text``, surrounding spaces stripped, as an integer of the grammar
+    ``-?[0-9]+``; ``ValueError`` otherwise, or past ``int()``'s digit limit."""
+    if re.fullmatch(_INTEGER, text.strip()) is None:
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
 
 
 def parse_rational(text: object) -> Fraction:
@@ -60,7 +71,7 @@ def _parse_scaled(text: object) -> tuple[int, int]:
         return text, 1  # type: ignore[return-value]
     if not isinstance(text, str):
         raise SchemaError(f"expected a rational string, got {text!r}")
-    m = _RATIONAL_RE.match(text.strip())
+    m = _RATIONAL_RE.fullmatch(text.strip())
     if not m:
         raise SchemaError(f"malformed rational {text!r}; use \"p/q\" or \"p\"")
     try:

@@ -11,6 +11,25 @@ recomputed here and checked against the general enumeration on every call.
 Strictness at exact rational equality is decided exactly; the
 semistable-but-not-stable verdict is reachable and never approximated.
 
+Additivity.  Every scan here, and the balance check of ``balanced``, reads
+only the proper connected subcurves, ``curve.connected_subcurve_stats()``.
+Let B be proper with connected pieces B_1, ..., B_m.  No node joins two
+pieces, so each node internal to B is internal to exactly one piece, and
+each boundary node of B is a boundary node of exactly one piece.  Hence
+``delta_B``, and any quantity of the form ``sum(a_k, k in B) - sum(b_j, j a
+node internal to B)``, is the sum of its values on the pieces.  The
+one-sided conditions of this module are signs of such sums:
+``delta_structure(B)`` (``a_k = lambda_k``, ``b_j = 1``), ``delta_B -
+delta_structure(B)``, and the rank-one margin ``wdeg(E_B) - wdeg(E) *
+wrank(E_B)`` (``a_k = lambda_k + d_k - wdeg(E) * w_k``, ``b_j = s_j``).  A
+sum that is at most 0, or below 0, has a term that is too, and each piece
+is a proper connected subcurve whose mask is a proper subset of B's, so it
+comes earlier in ascending mask order.  So the first failing subset of all
+is connected, and the verdicts read from the connected subcurves are those
+of all subsets.  ``balanced`` proves the same for its two-sided window, and
+that at ``w = e / (p_a - 1)``, for an ample multidegree e of total
+``p_a - 1`` on a stable curve, stability of O_C is strict balance of e.
+
 The same windows, read as constraints on the weights, cut out the
 stability polytope.  For a connected B of arithmetic genus ``p_a(B)``,
 
@@ -150,8 +169,12 @@ def rank1_stability(
 
     Stable when ``wdeg(E_B) > wdeg(E) * wrank(E_B)`` for every proper
     subcurve B (connected or not); semistable with the non-strict
-    inequality.  Data with any rank different from one are rejected: the
-    subcurve criterion does not cover them.
+    inequality.  The margin is additive over connected pieces (module
+    docstring), so only the connected subcurves are visited, and the
+    failing subcurve is also the first failing subset of all.  Refused,
+    like every scan here, past ``MAX_SUBSET_MASKS`` connected subcurves.
+    Data with any rank different from one are rejected: the subcurve
+    criterion does not cover them.
     """
     validate_datum(curve, e)
     if any(r != 1 for r in e.ranks):
@@ -170,7 +193,7 @@ def rank1_stability(
     semistable = True
     failing_mask: int | None = None
     failing_value: Fraction | None = None
-    for mask in curve.proper_masks("rank-one stability"):
+    for mask in curve.connected_subcurve_stats().masks:
         # q*wdeg(E_B) = q*delta(E_B) + q*sum(d_i, i in B), and
         # q*wrank(E_B) = the sum of the scaled weights over B.
         lhs = restrict_scaled(curve, lam, q, e, mask)

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from nodalpol import (
     AjFamily,
     CurveGraph,
+    MultidegreeBundle,
     Polarization,
     SheafDatum,
     StabilityPolytope,
     Subcurve,
     enumerate_weight_grid,
     oc_stability,
+    omega_degree,
 )
 
 
@@ -106,6 +108,75 @@ def star2_conditions(fam: AjFamily) -> list[tuple[int, bool]]:
         hi = Fraction(entry.boundary + 1, 2)  # type: ignore[operator]
         out.append((entry.edge_id, lo < entry.delta < hi))
     return out
+
+
+def balance_oracle(
+    curve: CurveGraph, bundle: MultidegreeBundle
+) -> tuple[bool, bool, list[tuple[str, tuple[int, ...], str]]]:
+    """Oracle: ``(balanced, strictly balanced, violations)`` from the
+    definition, over every proper subset of components, connected or not,
+    in Fractions; each violation is ``(kind, member ids, detail)``, in the
+    order of ``balance_report``: exceptional components, then ascending
+    masks.  The curve must be quasistable of arithmetic genus >= 2."""
+    exceptional = set(curve.exceptional_components())
+    violations = [
+        ("exceptional-degree", (curve.vertex_ids[k],),
+         f"degree {bundle.degrees[k]} on an exceptional component")
+        for k in sorted(exceptional)
+        if bundle.degrees[k] != 1
+    ]
+    balanced = not violations
+    strict = True
+    ratio = Fraction(bundle.total, 2 * curve.arithmetic_genus - 2)
+    pairs = curve.edge_index_pairs()
+    for mask in range(1, curve.full_mask):
+        sub = Subcurve(curve, mask)
+        deg_b = sum(bundle.degrees[k] for k in sub.member_indices)
+        gap = abs(deg_b - ratio * omega_degree(sub))
+        bound = Fraction(sub.boundary_size, 2)
+        boundary_on_exceptional = all(
+            ia in exceptional or ib in exceptional
+            for ia, ib in pairs
+            if bool(mask & (1 << ia)) != bool(mask & (1 << ib))
+        )
+        if gap > bound:
+            balanced = False
+            detail = f"|{deg_b} - {ratio} * {omega_degree(sub)}| = {gap} > {bound}"
+        elif gap == bound and not boundary_on_exceptional:
+            strict = False
+            detail = f"equality {gap} = {bound} off the exceptional locus"
+        else:
+            continue
+        violations.append(("subcurve-window", sub.member_ids, detail))
+    return balanced, balanced and strict, violations
+
+
+def rank1_oracle(
+    curve: CurveGraph, w: Polarization, e: SheafDatum
+) -> tuple[bool, bool, int | None, Fraction | None]:
+    """Oracle: ``(stable, semistable, first failing mask, its margin)`` of a
+    rank-one datum from the definition, over every proper subset of
+    components, connected or not, in Fractions."""
+    chi = curve.euler_characteristic
+    lam = [1 - g - wi * chi for g, wi in zip(curve.genera, w.weights)]
+    wdeg = sum(lam) + sum(e.degrees) - sum(e.stalk_free)
+    stable = semistable = True
+    first = value = None
+    for mask in range(1, curve.full_mask):
+        inside = [k for k in range(curve.gamma) if mask >> k & 1]
+        internal = [
+            j for j, (a, b) in enumerate(curve.edge_index_pairs())
+            if mask >> a & 1 and mask >> b & 1
+        ]
+        wdeg_b = sum(lam[k] + e.degrees[k] for k in inside) - sum(
+            e.stalk_free[j] for j in internal
+        )
+        margin = wdeg_b - wdeg * sum(w.weights[k] for k in inside)
+        if margin <= 0 and first is None:
+            first, value = mask, margin
+        stable = stable and margin > 0
+        semistable = semistable and margin >= 0
+    return stable, semistable, first, value
 
 
 @st.composite

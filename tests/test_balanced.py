@@ -1,23 +1,29 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import balance_oracle, random_curve, random_polarization
 from nodalpol import (
     CampaignConfig,
     CurveGraph,
     GoodnessStatus,
     MultidegreeBundle,
+    SheafDatum,
     balanced_stability_bridge,
+    delta_structure,
     enumerate_curves,
     from_multidegree,
     is_balanced,
     is_strictly_balanced,
     oc_stability,
     omega_degree,
+    restricted_wdeg,
 )
 from nodalpol.balanced import balance_report
+from nodalpol.curve import Subcurve, lowest_component
 from nodalpol.errors import UnsupportedCurveError
 
 F = Fraction
@@ -81,6 +87,82 @@ class TestBalanceChecks:
         triangle = CurveGraph.from_genera([0, 0, 0], [(1, 2), (2, 3), (1, 3)])
         with pytest.raises(UnsupportedCurveError):
             is_balanced(triangle, MultidegreeBundle((1, 1, 1)))
+
+
+class TestConnectedScan:
+    """The balance check reads the connected subcurves only; the
+    all-subsets definition is the oracle."""
+
+    def test_matches_all_subsets_definition(self):
+        # Degrees near the dualizing multidegree reach the window edges, and
+        # random ones break windows of disconnected subsets too.
+        rng = random.Random(2026)
+        seen = {"strict": 0, "balanced only": 0, "unbalanced": 0, "disconnected": 0}
+        checked = 0
+        while checked < 250:
+            c = random_curve(rng, max_gamma=7, max_extra_edges=4, max_genus=2)
+            if c.gamma < 2 or c.arithmetic_genus < 2 or not c.classify().quasistable:
+                continue
+            if rng.random() < 0.5:
+                degrees = tuple(
+                    2 * g - 2 + n + rng.choice((-1, 0, 0, 1))
+                    for g, n in zip(c.genera, c.vertex_degrees)
+                )
+            else:
+                degrees = tuple(rng.randint(-1, 4) for _ in range(c.gamma))
+            bundle = MultidegreeBundle(degrees)
+            balanced, strict, violations = balance_oracle(c, bundle)
+            connected = [
+                v for v in violations
+                if v[0] == "exceptional-degree" or c.subcurve(v[1]).is_connected
+            ]
+            report = balance_report(c, bundle)
+            assert report[:2] == (balanced, strict), (c, degrees)
+            assert [tuple(v) for v in report[2]] == connected, (c, degrees)
+            seen["strict" if strict else "balanced only" if balanced else "unbalanced"] += 1
+            seen["disconnected"] += len(connected) < len(violations)
+            checked += 1
+        assert min(seen.values()) > 10, seen
+
+    def test_quantities_add_over_connected_pieces(self):
+        # delta(O_B), the balance excess 2P deg_B - d omega_B and the
+        # rank-one margin, each with delta_B, are sums over B's pieces.
+        rng = random.Random(2027)
+        checked = 0
+        while checked < 200:
+            c = random_curve(rng, max_gamma=7, max_extra_edges=3, max_genus=2)
+            mask = rng.randrange(1, c.full_mask + 1)
+            if c.mask_is_connected(mask):
+                continue
+            pieces = []
+            rest = mask
+            while rest:
+                piece = lowest_component(c.adjacency_masks(), rest)
+                pieces.append(Subcurve(c, piece))
+                rest ^= piece
+            w = random_polarization(rng, c.gamma)
+            degrees = [rng.randint(-3, 3) for _ in range(c.gamma)]
+            e = SheafDatum(
+                (1,) * c.gamma,
+                tuple(degrees),
+                tuple(rng.randint(0, 1) for _ in range(c.delta)),
+            )
+            P, d = c.arithmetic_genus - 1, sum(degrees)
+            wdeg = restricted_wdeg(c, w, e, Subcurve(c, c.full_mask))
+
+            def quantities(b: Subcurve) -> tuple:
+                deg_b = sum(degrees[k] for k in b.member_indices)
+                wrank = sum(w.weights[k] for k in b.member_indices)
+                return (
+                    delta_structure(b, w),
+                    2 * P * deg_b - d * omega_degree(b),
+                    restricted_wdeg(c, w, e, b) - wdeg * wrank,
+                    b.boundary_size,
+                )
+
+            sums = [sum(column) for column in zip(*map(quantities, pieces))]
+            assert list(quantities(Subcurve(c, mask))) == sums, (c, mask)
+            checked += 1
 
 
 class TestBridge:

@@ -267,23 +267,33 @@ class TestOtherCommands:
             "--max-rank", "1",
         )[1]["goodness"] == obj
 
-    def test_subset_scan_limit_exits_2(self, capsys, tmp_path):
-        # The balance check visits every subset; a chain of 19 genus-2
-        # components has 2^19 of them, above MAX_SUBSET_MASKS.
-        curve = tmp_path / "chain19.json"
-        curve.write_text(
-            json.dumps(
-                {
-                    "vertices": [{"id": k, "genus": 2} for k in range(1, 20)],
-                    "edges": [{"id": k, "ends": [k, k + 1]} for k in range(1, 19)],
-                }
+    def test_balanced_limit_counts_connected_subcurves(self, capsys, tmp_path):
+        # The balance check visits the connected subcurves only: a chain of
+        # 19 genus-2 components has 189 of them and answers at once, while
+        # a star of 25 has 2^24 + 24, past MAX_SUBSET_MASKS.
+        for name, edges, code in (
+            ("chain19", [[k, k + 1] for k in range(1, 19)], 0),
+            ("star25", [[1, k] for k in range(2, 26)], 2),
+        ):
+            gamma = len(edges) + 1
+            curve = tmp_path / f"{name}.json"
+            curve.write_text(
+                json.dumps(
+                    {
+                        "vertices": [{"id": k, "genus": 2} for k in range(1, gamma + 1)],
+                        "edges": [{"id": j, "ends": e} for j, e in enumerate(edges, 1)],
+                    }
+                )
             )
-        )
-        started = time.perf_counter()
-        code = main(["balanced", "--curve", str(curve), "--degrees", ",".join(["2"] * 19)])
-        assert code == 2
-        assert time.perf_counter() - started < 5.0
-        assert "subsets" in capsys.readouterr().err
+            started = time.perf_counter()
+            argv = ["balanced", "--curve", str(curve), "--degrees", ",".join(["2"] * gamma)]
+            assert main(argv) == code
+            assert time.perf_counter() - started < (1.0 if code == 0 else 5.0)
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert json.loads(out)["violations"] == []
+            else:
+                assert "connected subcurves" in err
 
     def test_connected_subcurve_limit_exits_2(self, capsys, tmp_path):
         # A star of 25 genus-2 components has 2^24 + 24 connected
@@ -385,6 +395,24 @@ class TestOtherCommands:
         assert code == 0
         assert obj["balanced"] is True and obj["strict"] is True
         assert obj["bridge"]["equivalent"] is True
+
+    @pytest.mark.parametrize(
+        "degrees", ["1_0,2", "+2,1", "\u0663,1", "1,\uff12", "1.0,2", "1,", " ,1", "0x1,2"]
+    )
+    def test_balanced_rejects_malformed_degrees(self, capsys, degrees):
+        # Degrees follow the grammar -?[0-9]+ in ASCII digits; int() alone
+        # would read the first four lists as (10, 2), (2, 1), (3, 1) and
+        # (1, 2).
+        code = main(
+            ["balanced", "--curve", fixture("two_genus2_one_node.json"), "--degrees", degrees]
+        )
+        assert code == 2
+        assert f"malformed degree list {degrees!r}" in capsys.readouterr().err
+
+    def test_balanced_strips_spaces_around_degrees(self, capsys):
+        case = ("balanced", "--curve", "two_genus2_one_node.json", "--degrees", "1,2")
+        expected = next((c, h) for k, c, h in GOLDEN_OUTPUTS if k == case)
+        assert _stdout(capsys, case[:-1] + (" 1 , 2 ",)) == expected
 
     def test_balanced_degree_count_mismatch(self, capsys):
         code, _ = run(
@@ -573,8 +601,9 @@ def test_golden_stdout(capsys, case, code, sha):
     assert _stdout(capsys, case) == (code, sha)
 
 
-def test_balanced_scans_subsets_once(capsys, monkeypatch):
-    # The bridge reuses the strict verdict of the balance report.
+def test_balanced_runs_one_balance_pass(capsys, monkeypatch):
+    # One command makes one balance pass: the bridge reuses the strict
+    # verdict of the balance report.
     calls = []
     scan = nodalpol.balanced._balance_scan
 

@@ -47,6 +47,19 @@ class TestRationals:
             with pytest.raises(SchemaError):
                 parse_rational(bad)
 
+    @pytest.mark.parametrize(
+        "bad", ["\u0663/\u0664", "3/\u0664", "+1/2", "1/+2", "1_0/3", "1/1_0", "\uff11/2"]
+    )
+    def test_ascii_integer_grammar(self, bad):
+        # Numerator and denominator are -?[0-9]+ in ASCII digits; a pattern
+        # built on \d, with int(), would read the non-ASCII ones as 3/4
+        # and 1/2.
+        with pytest.raises(SchemaError, match="malformed rational"):
+            parse_rational(bad)
+
+    def test_surrounding_spaces_are_stripped(self):
+        assert parse_rational(" 3/4 ") == F(3, 4)
+
     def test_format(self):
         assert format_rational(F(1, 2)) == "1/2"
         assert format_rational(F(-1, 2)) == "-1/2"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     proper_connected_subcurves,
     random_curve,
     random_polarization,
+    rank1_oracle,
 )
 from nodalpol import (
     CurveGraph,
@@ -21,7 +23,7 @@ from nodalpol import (
     oc_stability,
     rank1_stability,
 )
-from nodalpol.curve import MAX_SUBSET_MASKS, Subcurve, mask_members
+from nodalpol.curve import Subcurve, mask_members
 from nodalpol.errors import UnsupportedCurveError, UnsupportedRankError
 
 F = Fraction
@@ -211,18 +213,24 @@ class TestRank1Stability:
                 c, Polarization.uniform(2), SheafDatum((1, 0), (0, 0), (0,))
             )
 
-    def test_subset_limit(self):
-        # 2^18 subsets are scanned; 2^19 are refused before the scan starts.
-        for gamma, refused in ((18, False), (19, True)):
-            c = CurveGraph.from_genera([0] * gamma, [(k, k + 1) for k in range(1, gamma)])
-            assert (1 << gamma > MAX_SUBSET_MASKS) == refused
-            if refused:
-                with pytest.raises(UnsupportedCurveError, match="subsets"):
-                    rank1_stability(
-                        c, Polarization.uniform(gamma), SheafDatum.structure_sheaf(c)
-                    )
-            else:
-                assert c.proper_masks("a scan") == range(1, c.full_mask)
+    def test_connected_subcurve_limit(self):
+        # Only connected subcurves are scanned: a chain of 19 genus-2
+        # components has 189 of them and answers at once, while a star of
+        # 25 has 2^24 + 24 and is refused once 2^18 have been grown.
+        chain = CurveGraph.from_genera([2] * 19, [(k, k + 1) for k in range(1, 19)])
+        started = time.perf_counter()
+        verdict = rank1_stability(
+            chain, Polarization.uniform(19), SheafDatum.structure_sheaf(chain)
+        )
+        assert time.perf_counter() - started < 1.0
+        assert verdict.stable
+        star = CurveGraph.from_genera([2] * 25, [(1, k) for k in range(2, 26)])
+        started = time.perf_counter()
+        with pytest.raises(UnsupportedCurveError, match="connected subcurves"):
+            rank1_stability(
+                star, Polarization.uniform(25), SheafDatum.structure_sheaf(star)
+            )
+        assert time.perf_counter() - started < 5.0
 
     def test_unbalanced_multidegree_can_destabilize(self):
         c = two_genus2()
@@ -232,34 +240,31 @@ class TestRank1Stability:
         assert not verdict.stable
 
     def test_matches_fraction_definition(self):
-        # Direct definition over every proper subcurve, in Fractions.  The
-        # uniform weights on even Euler characteristic give lambda vectors
-        # whose denominators are smaller than the weights' denominator
-        # (two elliptic curves meeting twice: w = (1/2, 1/2), lambda = (1, 1)).
+        # Direct definition over every proper subcurve, in Fractions: the
+        # verdicts, the first failing subset and its margin.  The uniform
+        # weights on even Euler characteristic give lambda vectors whose
+        # denominators are smaller than the weights' denominator (two
+        # elliptic curves meeting twice: w = (1/2, 1/2), lambda = (1, 1)).
         rng = random.Random(31)
         cases = [(CurveGraph.from_genera([1, 1], [(1, 2), (1, 2)]), Polarization.uniform(2))]
         for _ in range(300):
             c = random_curve(rng, max_gamma=4)
             w = Polarization.uniform(c.gamma) if rng.random() < 0.5 else random_polarization(rng, c.gamma)
             cases.append((c, w))
+        unstable = 0
         for c, w in cases:
-            chi = c.euler_characteristic
-            lam = [1 - g - wi * chi for g, wi in zip(c.genera, w.weights)]
             for _ in range(4):
                 degrees = [rng.randint(-3, 3) for _ in range(c.gamma)]
                 stalks = [rng.randint(0, 1) for _ in range(c.delta)]
                 e = SheafDatum((1,) * c.gamma, tuple(degrees), tuple(stalks))
-                wdeg = sum(lam) + sum(degrees) - sum(stalks)
-                stable = semistable = True
-                for mask in range(1, c.full_mask):
-                    inside = [k for k in range(c.gamma) if mask >> k & 1]
-                    internal = [
-                        j for j, (a, b) in enumerate(c.edge_index_pairs())
-                        if mask >> a & 1 and mask >> b & 1
-                    ]
-                    wdeg_b = sum(lam[k] + degrees[k] for k in inside) - sum(stalks[j] for j in internal)
-                    margin = wdeg_b - wdeg * sum(w.weights[k] for k in inside)
-                    stable = stable and margin > 0
-                    semistable = semistable and margin >= 0
+                stable, semistable, mask, value = rank1_oracle(c, w, e)
                 verdict = rank1_stability(c, w, e)
-                assert (verdict.stable, verdict.semistable) == (stable, semistable), (c, w, e)
+                failing = verdict.failing_subcurve
+                assert (
+                    verdict.stable,
+                    verdict.semistable,
+                    None if failing is None else failing.mask,
+                    verdict.failing_value,
+                ) == (stable, semistable, mask, value), (c, w, e)
+                unstable += not stable
+        assert unstable > 300
